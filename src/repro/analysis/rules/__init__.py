@@ -1,16 +1,14 @@
 """Rule registry for ``repro lint``.
 
-Eight rule families guard the properties the reproduction depends on:
+Seven rule families guard the properties the reproduction depends on:
 determinism (no entropy on stat-affecting paths), layering (the
 architecture DAG), hot-path hygiene (``__slots__`` on per-event
-records), stats parity (the event-horizon bit-identity invariant,
-checked for both simulation cores), fast-core allocation (no per-event
-record objects inside the flat-array hot loops), config coherence
-(field reads match field definitions), telemetry imports (hot paths
-see only the zero-overhead no-op handle), and concurrency safety
-(no blocking calls reachable from async code, no dropped
-coroutines/tasks, process pools install the child initializer, and
-client route strings agree with the ``_route`` dispatchers).
+records), stats parity (the event-horizon bit-identity invariant),
+config coherence (field reads match field definitions), telemetry
+imports (hot paths see only the zero-overhead no-op handle), and
+concurrency safety (no blocking calls reachable from async code, no
+dropped coroutines/tasks, process pools install the child initializer,
+and client route strings agree with the ``_route`` dispatchers).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.analysis.rules.determinism import (
     UnseededRngRule,
     WallClockRule,
 )
-from repro.analysis.rules.fastcore_alloc import FastcoreAllocRule
 from repro.analysis.rules.hotpath import AttrOutsideInitRule, MissingSlotsRule
 from repro.analysis.rules.layering import LayeringRule
 from repro.analysis.rules.stats_parity import StatsParityRule
@@ -49,7 +46,6 @@ ALL_RULES: List[Rule] = [
     MissingSlotsRule(),
     AttrOutsideInitRule(),
     StatsParityRule(),
-    FastcoreAllocRule(),
     ConfigUnknownFieldRule(),
     ConfigUnusedFieldRule(),
     TelemetryNoopImportRule(),

@@ -40,7 +40,7 @@ HOT_UNITS = frozenset(
 )
 
 #: extra hot-path modules outside those units
-HOT_MODULE_SUFFIXES = ("simulator.machine", "simulator.fastcore")
+HOT_MODULE_SUFFIXES = ("simulator.machine",)
 
 #: base classes that exempt a class from the slots requirement
 EXEMPT_BASES = frozenset(

@@ -22,12 +22,6 @@ would silently diverge under skipping while every example-based test
 that happens to avoid idle stretches stays green. The reverse direction
 is checked too — a counter batch-applied in ``_fast_forward`` with no
 per-cycle counterpart is stale and equally suspect.
-
-The same invariant binds the flat-array core: ``FastMachine`` inlines
-its per-cycle loop into ``run`` (with counters localized and synced
-back through the ``st`` alias, which the mutation scan resolves) and
-carries its own ``_fast_forward``, so both machine classes are checked
-against the identical contract.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.engine import (
     Finding,
-    ModuleInfo,
     Project,
     Rule,
     ann_field_names,
@@ -50,13 +43,6 @@ MACHINE_MODULE_SUFFIX = "simulator.machine"
 MACHINE_CLASS = "Machine"
 STATS_MODULE_SUFFIX = "simulator.stats"
 STATS_CLASS = "SimulationStats"
-
-#: every simulation core bound by the bit-identity contract:
-#: (module suffix, class name). A new backend gets a row here.
-CORE_TARGETS = (
-    (MACHINE_MODULE_SUFFIX, MACHINE_CLASS),
-    ("simulator.fastcore", "FastMachine"),
-)
 
 #: the per-cycle path: functions executed every non-skipped cycle
 PER_CYCLE_FUNCS = ("run", "step", "_decode")
@@ -73,11 +59,6 @@ EVENT_GATED_COUNTERS = frozenset(
         "slots_retiring",
         "slots_bad_speculation",
         "slots_backend_bound",
-        # only moves when the IAG enqueues a wrong-path block, and
-        # _skippable returns 0 on any cycle the IAG would enqueue; the
-        # fast core mutates it inside run()'s inlined loop, the
-        # reference core inside _enqueue_next (off the per-cycle list)
-        "wrong_path_blocks",
     }
 )
 
@@ -90,10 +71,9 @@ class StatsParityRule(Rule):
 
     name = "stats-parity-fast-forward"
     description = (
-        "every SimulationStats counter mutated on a simulation core's "
-        "per-cycle path must be batch-applied in _fast_forward or "
-        "declared event-gated (bit-identical event-horizon invariant); "
-        "checked for both the reference and the flat-array core"
+        "every SimulationStats counter mutated on Machine's per-cycle "
+        "path must be batch-applied in _fast_forward or declared "
+        "event-gated (bit-identical event-horizon invariant)"
     )
     scope = "project"
 
@@ -109,24 +89,12 @@ class StatsParityRule(Rule):
             for name in ann_field_names(stats_class)
             if name not in NON_COUNTER_FIELDS
         }
-        for module_suffix, class_name in CORE_TARGETS:
-            machine_module = project.get_by_suffix(module_suffix)
-            if machine_module is None:
-                continue
-            machine_class = find_class(machine_module.tree, class_name)
-            if machine_class is None:
-                continue
-            yield from self._check_core(
-                machine_module, machine_class, class_name, counters
-            )
-
-    def _check_core(
-        self,
-        machine_module: ModuleInfo,
-        machine_class: ast.ClassDef,
-        class_name: str,
-        counters: Set[str],
-    ) -> Iterable[Finding]:
+        machine_module = project.get_by_suffix(MACHINE_MODULE_SUFFIX)
+        if machine_module is None:
+            return
+        machine_class = find_class(machine_module.tree, MACHINE_CLASS)
+        if machine_class is None:
+            return
         methods = {
             node.name: node
             for node in machine_class.body
@@ -147,7 +115,7 @@ class StatsParityRule(Rule):
                 yield self.finding(
                     machine_module,
                     machine_class.lineno,
-                    f"'{class_name}' mutates stats counters on the "
+                    f"'{MACHINE_CLASS}' mutates stats counters on the "
                     f"per-cycle path but defines no {FAST_FORWARD_FUNC}()",
                 )
             return

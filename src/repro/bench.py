@@ -36,15 +36,13 @@ calls ``Machine.run``, so no caching layer can intervene.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.simulator.config import MachineConfig
 from repro.simulator.policies import build_machine, get_policy
 from repro.simulator.probe import TimelineProbe
 from repro.utils import geomean
@@ -73,35 +71,11 @@ class BenchCell:
     warmup: int
     seed: int = 1
     probe: bool = False
-    #: simulation core timed by this cell; pinned explicitly so an
-    #: ambient ``REPRO_BACKEND`` cannot silently change what a recorded
-    #: number means (see :func:`expand_backends`)
-    backend: str = "ref"
 
     @property
     def key(self) -> str:
         """Stable identity used to join runs against the baseline."""
         return self.name
-
-
-def expand_backends(cells: List[BenchCell], backend: str) -> List[BenchCell]:
-    """Expand a cell list into the requested backend matrix.
-
-    ``"ref"`` returns the cells unchanged; ``"fast"`` returns fast-core
-    variants (named ``<cell>-fast`` so ref and fast rows coexist in one
-    report and baseline); ``"both"`` interleaves each ref cell with its
-    fast twin, which keeps the pair adjacent in time and makes the
-    within-pair speedup robust to slow host drift.
-    """
-    if backend == "ref":
-        return list(cells)
-    fast = [replace(c, name=c.name + "-fast", backend="fast")
-            for c in cells]
-    if backend == "fast":
-        return fast
-    if backend == "both":
-        return [c for pair in zip(cells, fast) for c in pair]
-    raise ValueError("unknown bench backend matrix %r" % (backend,))
 
 
 def _cell(name, benchmark, policy, instructions, warmup, **kw) -> BenchCell:
@@ -188,10 +162,9 @@ def run_cell(cell: BenchCell, repeats: int = 2) -> Dict[str, object]:
     cycles = 0
     ipc = 0.0
     skipped = 0
-    config = MachineConfig(backend=cell.backend)
     for _ in range(max(1, repeats)):
         machine = build_machine(layout, profile, get_policy(cell.policy),
-                                config=config, seed=cell.seed)
+                                seed=cell.seed)
         if cell.probe:
             machine.probe = TimelineProbe(sample_every=200)
         t0 = time.perf_counter()
@@ -199,7 +172,7 @@ def run_cell(cell: BenchCell, repeats: int = 2) -> Dict[str, object]:
         wall = time.perf_counter() - t0
         cycles = machine.cycle
         ipc = stats.ipc
-        skipped = getattr(machine, "fast_forwarded_cycles", 0)
+        skipped = machine.fast_forwarded_cycles
         if best_wall is None or wall < best_wall:
             best_wall = wall
     return {
@@ -210,7 +183,6 @@ def run_cell(cell: BenchCell, repeats: int = 2) -> Dict[str, object]:
         "warmup": cell.warmup,
         "seed": cell.seed,
         "probe": cell.probe,
-        "backend": cell.backend,
         "wall_s": best_wall,
         "simulated_cycles": cycles,
         "cycles_per_sec": cycles / best_wall if best_wall else 0.0,
@@ -245,20 +217,6 @@ class BenchReport:
                        if isinstance(c.get("norm_ratio_vs_baseline"), float)]
         if norm_ratios:
             doc["geomean_norm_ratio_vs_baseline"] = geomean(norm_ratios)
-        # fast-vs-ref matrix: join each '<cell>-fast' row to its ref twin
-        by_name = {c["name"]: c for c in self.cells}
-        pair_speedups = []
-        for c in self.cells:
-            name = str(c["name"])
-            if not name.endswith("-fast"):
-                continue
-            ref = by_name.get(name[:-len("-fast")])
-            if ref and ref.get("cycles_per_sec"):
-                ratio = c["cycles_per_sec"] / ref["cycles_per_sec"]
-                c["speedup_fast_vs_ref"] = ratio
-                pair_speedups.append(ratio)
-        if pair_speedups:
-            doc["geomean_fast_vs_ref"] = geomean(pair_speedups)
         return doc
 
 
@@ -360,14 +318,6 @@ def main(args) -> int:
               "Bench scores must measure the simulator's zero-overhead "
               "path — unset REPRO_TELEMETRY and rerun.", file=sys.stderr)
         return 2
-    if os.environ.get("REPRO_BACKEND"):
-        # bench cells pin their backend explicitly (each recorded number
-        # must say which core produced it); an ambient override would
-        # have no effect and usually signals a stale shell export
-        print("repro bench: REPRO_BACKEND=%s is set but ignored — bench "
-              "cells pin their backend explicitly; use --backend to pick "
-              "the timed core matrix." % os.environ["REPRO_BACKEND"],
-              file=sys.stderr)
     cells = QUICK_CELLS if args.quick else DEFAULT_CELLS
     if args.cells:
         wanted = {name.strip() for name in args.cells.split(",")}
@@ -379,7 +329,6 @@ def main(args) -> int:
             print("available: %s" % ", ".join(sorted(index)), file=sys.stderr)
             return 2
         cells = [index[name] for name in sorted(wanted)]
-    cells = expand_backends(cells, getattr(args, "backend", None) or "both")
     if args.record_baseline:
         out = record_baseline(cells, args.record_baseline,
                               repeats=args.repeats)
@@ -392,9 +341,6 @@ def main(args) -> int:
     if "geomean_speedup_vs_baseline" in doc:
         print("geomean speedup vs baseline: %.2fx"
               % doc["geomean_speedup_vs_baseline"])
-    if "geomean_fast_vs_ref" in doc:
-        print("geomean fast-core speedup vs ref: %.2fx"
-              % doc["geomean_fast_vs_ref"])
     print("report: %s" % out)
     if args.check:
         failures = check_regression(report, tolerance=args.tolerance)

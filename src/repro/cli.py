@@ -56,7 +56,6 @@ import importlib
 import sys
 from typing import List, Optional
 
-from repro.simulator.config import BACKENDS
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
@@ -146,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "beyond --tolerance vs the baseline")
     p_bench.add_argument("--tolerance", type=float, default=None,
                          help="allowed normalized regression (default 0.20)")
-    p_bench.add_argument("--backend", choices=("ref", "fast", "both"),
-                         default="both",
-                         help="timed core matrix: ref cells, fast-core "
-                              "twins ('<cell>-fast'), or both (default)")
 
     p_man = sub.add_parser("manifest", help="summarize a suite run manifest")
     p_man.add_argument("path", nargs="?", default=None,
@@ -410,20 +405,6 @@ def _budget_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="simulation core: 'ref' (per-object reference) "
-                             "or 'fast' (flat-array; bit-identical stats). "
-                             "Default: REPRO_BACKEND env, else 'ref'")
-
-
-def _backend_config(args: argparse.Namespace):
-    """MachineConfig pinning ``--backend``, or None when unspecified."""
-    backend = getattr(args, "backend", None)
-    if not backend:
-        return None
-    from repro.simulator.config import MachineConfig
-
-    return MachineConfig(backend=backend)
 
 
 def _jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -483,7 +464,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = run_benchmark(args.benchmark, args.policy,
                           instructions=args.instructions,
                           warmup=args.warmup, seed=args.seed,
-                          config=_backend_config(args),
                           use_cache=not args.no_cache,
                           telemetry=session,
                           store=_resolve_store(args.store))
@@ -525,7 +505,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     results = run_suite_parallel(policies, benchmarks=benches,
                                  instructions=args.instructions,
                                  warmup=args.warmup, seed=args.seed,
-                                 config=_backend_config(args),
                                  jobs=args.jobs, verbose=True,
                                  store=_resolve_store(args.store))
     latest = manifest_mod.latest()

@@ -157,39 +157,3 @@ class FTQ:
     def __iter__(self):
         return iter(self._q)
 
-
-class FlatFTQView(FTQ):
-    """Counter-compatible FTQ facade over the fast core's slot ring.
-
-    The flat-array backend keeps FTQ entries in parallel arrays rather
-    than a deque of :class:`FTQEntry`, but probes, telemetry harvesting,
-    and diagnostics all read the FTQ through this object's surface:
-    ``occupancy()`` / ``len()`` / ``full`` / ``empty`` delegate to the
-    owning machine via ``occupancy_fn``, and the ``enqueues`` /
-    ``flushes`` / ``flushed_entries`` counters are maintained directly
-    by the fast core. The inherited ``_q`` deque stays empty — entry
-    *contents* are not exposed here (iterating yields nothing).
-    """
-
-    __slots__ = ("_occupancy_fn",)
-
-    def __init__(self, depth: int, occupancy_fn):
-        super().__init__(depth)
-        self._occupancy_fn = occupancy_fn
-
-    def __len__(self) -> int:
-        return self._occupancy_fn()
-
-    @property
-    def full(self) -> bool:
-        """True when the ring window is at capacity."""
-        return self._occupancy_fn() >= self.depth
-
-    @property
-    def empty(self) -> bool:
-        """True when the ring window holds nothing."""
-        return not self._occupancy_fn()
-
-    def occupancy(self) -> int:
-        """Number of live slots in the ring window."""
-        return self._occupancy_fn()

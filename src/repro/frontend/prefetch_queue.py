@@ -22,12 +22,6 @@ class PrefetchQueue:
     Requests are stored as bare line numbers (the cheapest possible
     "request record" — no per-request object allocation on the hot
     path) with a mirror set for O(1) duplicate filtering.
-
-    The flat-array core (:mod:`repro.simulator.fastcore`) inlines
-    :meth:`tick` and :meth:`request` against ``_q``/``_queued`` directly
-    and hoists ``capacity``/``issue_width``/``mshr_reserve`` into its
-    main loop — renaming these attributes or changing drain order must
-    be mirrored there (the differential fuzzer pins the behavior).
     """
 
     __slots__ = ("hierarchy", "capacity", "issue_width", "mshr_reserve",

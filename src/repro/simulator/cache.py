@@ -55,12 +55,6 @@ def run_key(benchmark: str, spec: PolicySpec, instructions: int, warmup: int,
     name, the manifest ``key`` column, and the service store's primary
     key are all this digest (see :func:`repro.utils.canonical_digest`).
     """
-    frozen_config = dict(
-        freeze(config if config is not None else MachineConfig()))
-    # the simulation core is semantically inert (both backends are
-    # bit-identical by contract), so it must not change cell identity —
-    # a warm store keeps serving regardless of which core filled it
-    frozen_config.pop("backend", None)
     payload = {
         "benchmark": benchmark,
         # include the full profile so retuning a benchmark invalidates
@@ -70,7 +64,7 @@ def run_key(benchmark: str, spec: PolicySpec, instructions: int, warmup: int,
         "instructions": instructions,
         "warmup": warmup,
         "seed": seed,
-        "config": frozen_config,
+        "config": freeze(config if config is not None else MachineConfig()),
         "version": RUN_KEY_VERSION,
     }
     return canonical_digest(payload)

@@ -7,15 +7,9 @@ Defaults model the paper's Golden-Cove-like core: 32 KB/8-way L1-I with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.memory.hierarchy import HierarchyConfig
-
-#: recognised simulation-core implementations: the per-object reference
-#: core (``machine.Machine``) and the flat-array core (``fastcore.FastMachine``)
-BACKENDS = ("ref", "fast")
 
 
 @dataclass(frozen=True)
@@ -64,13 +58,6 @@ class MachineConfig:
     fec_wake_window: int = 24
     fec_high_cost_threshold: int = 10
 
-    # --- simulation core -----------------------------------------------------
-    #: which core implementation runs this config: "" (defer to the
-    #: ``REPRO_BACKEND`` environment, else "ref"), "ref", or "fast".
-    #: Semantically inert — both cores produce bit-identical stats — so
-    #: it is excluded from result-cache run keys (see ``cache.run_key``).
-    backend: str = ""
-
     def scaled(self, **overrides) -> "MachineConfig":
         """Copy with fields replaced (mirrors WorkloadProfile.scaled)."""
         return replace(self, **overrides)
@@ -80,21 +67,3 @@ class MachineConfig:
         hier = replace(self.hierarchy, l1i_size_kb=size_kb)
         return replace(self, hierarchy=hier)
 
-
-def resolve_backend(config: Optional[MachineConfig] = None) -> str:
-    """Resolve the effective simulation core for ``config``.
-
-    Precedence: an explicit non-empty ``config.backend`` wins (bench
-    cells and test fixtures pin it so an ambient ``REPRO_BACKEND``
-    cannot leak into pinned runs), then the ``REPRO_BACKEND``
-    environment variable, then ``"ref"``. Raises ``ValueError`` for
-    anything outside :data:`BACKENDS`.
-    """
-    name = (config.backend if config is not None else "") or \
-        os.environ.get("REPRO_BACKEND", "")
-    name = name.strip().lower() or "ref"
-    if name not in BACKENDS:
-        raise ValueError(
-            "unknown simulation backend %r (expected one of %s)"
-            % (name, "/".join(BACKENDS)))
-    return name

@@ -29,18 +29,6 @@ consuming exactly the RNG draws the skipped per-cycle loop would have.
 Stats are bit-identical to per-cycle stepping; attaching a probe
 disables skipping (unless ``probe_coarse`` opts into one observation per
 jump).
-
-**This class is the reference core.** The flat-array fast core
-(:mod:`repro.simulator.fastcore`, DESIGN.md §15, selected via
-``MachineConfig.backend``) subclasses it and *transcribes* the per-cycle
-pipeline below — resteer ordering, RNG draw sequence, counter update
-order, telemetry emission points — into an allocation-free loop over
-preallocated arrays. Any semantic edit here (a new counter, a reordered
-draw, a moved ``tel.emit``) must be mirrored there in the same PR; the
-golden tests, the differential fuzzer
-(``tests/test_fastcore_differential.py``), and the stats-parity lint
-rule will each catch a divergence, but the lockstep is maintained by
-hand.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.prefetchers.base import NoPrefetcher
 from repro.prefetchers.eip import EIPConfig, EIPPrefetcher
 from repro.prefetchers.next_line import NextLinePrefetcher
 from repro.prefetchers.rdip import RDIPPrefetcher
-from repro.simulator.config import MachineConfig, resolve_backend
+from repro.simulator.config import MachineConfig
 from repro.simulator.machine import Machine
 from repro.workloads.generator import generate_layout
 from repro.workloads.layout import CodeLayout
@@ -148,18 +148,13 @@ def build_machine(layout: CodeLayout, profile: WorkloadProfile,
         prefetcher = RDIPPrefetcher(pq)
     else:
         prefetcher = NoPrefetcher()
-    if resolve_backend(cfg) == "fast":
-        from repro.simulator.fastcore import FastMachine
-        machine_cls = FastMachine
-    else:
-        machine_cls = Machine
     # externally provided benchmarks (ingested traces) bring their own
     # walker; synthetic profiles get the default PathWalker inside Machine
     ext = external_benchmark(profile.name)
     walker = ext.walker_factory(layout, seed) if ext is not None else None
-    return machine_cls(layout=layout, profile=profile, config=cfg,
-                       hierarchy=hierarchy, prefetcher=prefetcher, pq=pq,
-                       seed=seed, walker=walker)
+    return Machine(layout=layout, profile=profile, config=cfg,
+                   hierarchy=hierarchy, prefetcher=prefetcher, pq=pq,
+                   seed=seed, walker=walker)
 
 
 def build_machine_for(benchmark_profile: WorkloadProfile, spec: PolicySpec,

@@ -105,13 +105,6 @@ def run_benchmark(benchmark: str, policy: str,
     Results are memoized on disk (see :mod:`repro.simulator.cache`);
     pass ``use_cache=False`` to force a fresh simulation.
 
-    ``config.backend`` (or ``REPRO_BACKEND`` when the config leaves it
-    empty — see :func:`repro.simulator.config.resolve_backend`) selects
-    the simulation core: the reference per-object machine or the
-    flat-array fast core. The two are bit-identical by contract, so the
-    backend is deliberately *excluded* from the cache key — a stored
-    result is valid for either core.
-
     ``store`` is an optional durable result store — any object with the
     ``get(key) -> stats`` / ``put(key, stats, meta=...)`` surface of
     :class:`repro.service.store.ResultStore` (duck-typed so this layer

@@ -186,7 +186,7 @@ class TraceReplayer:
             # unbalanced call/return mixes (common in externally captured
             # streams replayed with loop=True) must not grow the stack
             # without limit. Dropping the push on overflow is O(1) and
-            # deterministic, so both backends replay identically.
+            # deterministic.
             if (block.fallthrough is not None
                     and len(self.stack) < PathWalker.MAX_STACK_DEPTH):
                 self.stack.append(block.fallthrough)

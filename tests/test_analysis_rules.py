@@ -26,7 +26,6 @@ from repro.analysis.rules.determinism import (
     UnseededRngRule,
     WallClockRule,
 )
-from repro.analysis.rules.fastcore_alloc import FastcoreAllocRule
 from repro.analysis.rules.hotpath import AttrOutsideInitRule, MissingSlotsRule
 from repro.analysis.rules.layering import LayeringRule
 from repro.analysis.rules.stats_parity import StatsParityRule
@@ -485,113 +484,29 @@ class TestStatsParity:
         assert all("instructions" not in f.message for f in findings)
         assert findings == []
 
-
-class TestStatsParityFastCore:
-    STATS = """\
-        class SimulationStats:
-            cycles: int = 0
-            instructions: int = 0
-            lost_cycles: int = 0
-    """
-
-    MACHINE = """\
-        class Machine:
-            def run(self, n):
-                st = self.stats
-                st.cycles += 1
-                st.instructions += 1
-
-            def _fast_forward(self, k):
-                self.stats.cycles += k
-    """
-
-    def test_fastcore_counter_missing_from_fast_forward(self, tmp_path):
-        # the same contract binds the flat-array core: a counter synced
-        # back from FastMachine.run's localized loop but absent from its
-        # own _fast_forward must be caught, with the reference core clean
+    def test_wrong_path_blocks_is_not_event_gated(self, tmp_path):
+        # Machine counts wrong-path blocks in _next_entry, off the
+        # per-cycle list; moving that count onto the per-cycle path
+        # without batching it must be caught
         findings = lint(tmp_path, {
-            "pkg/simulator/stats.py": self.STATS,
-            "pkg/simulator/machine.py": self.MACHINE,
-            "pkg/simulator/fastcore.py": """\
-                class FastMachine:
+            "pkg/simulator/stats.py": """\
+                class SimulationStats:
+                    cycles: int = 0
+                    wrong_path_blocks: int = 0
+            """,
+            "pkg/simulator/machine.py": """\
+                class Machine:
                     def run(self, n):
                         st = self.stats
-                        st_lost = st.lost_cycles
-                        st_lost += 1
                         st.cycles += 1
-                        st.lost_cycles = st_lost
+                        st.wrong_path_blocks += 1
 
                     def _fast_forward(self, k):
                         self.stats.cycles += k
             """,
         }, [StatsParityRule()])
         assert rules_fired(findings) == ["stats-parity-fast-forward"]
-        assert len(findings) == 1
-        assert "lost_cycles" in findings[0].message
-        assert findings[0].path.endswith("fastcore.py")
-
-    def test_balanced_both_cores_are_clean(self, tmp_path):
-        findings = lint(tmp_path, {
-            "pkg/simulator/stats.py": self.STATS,
-            "pkg/simulator/machine.py": self.MACHINE,
-            "pkg/simulator/fastcore.py": self.MACHINE.replace(
-                "class Machine", "class FastMachine"),
-        }, [StatsParityRule()])
-        assert findings == []
-
-
-class TestFastcoreAlloc:
-    def test_per_event_alloc_in_hot_loop_fires(self, tmp_path):
-        findings = lint(tmp_path, {
-            "pkg/simulator/fastcore.py": """\
-                from pkg.frontend.ftq import FTQEntry
-
-                class FastMachine:
-                    def __init__(self):
-                        self._proxy = FTQEntry(None, [], 0)
-
-                    def _enqueue_next(self, cycle):
-                        return FTQEntry(None, [], cycle)
-            """,
-            "pkg/frontend/ftq.py": "class FTQEntry:\n    pass\n",
-        }, [FastcoreAllocRule()])
-        assert rules_fired(findings) == ["fastcore-no-per-event-alloc"]
-        assert len(findings) == 1  # the __init__ proxy is sanctioned
-        assert "_enqueue_next" in findings[0].message
-
-    def test_proxies_in_init_only_is_clean(self, tmp_path):
-        findings = lint(tmp_path, {
-            "pkg/simulator/fastcore.py": """\
-                from pkg.frontend.ftq import FTQEntry
-
-                class FastMachine:
-                    def __init__(self):
-                        self._enq_proxy = FTQEntry(None, [], 0)
-                        self._ret_proxy = FTQEntry(None, [], 0)
-
-                    def _retire_slot(self, seq, cycle):
-                        proxy = self._ret_proxy
-                        proxy.enqueued_at = cycle
-                        return proxy
-            """,
-            "pkg/frontend/ftq.py": "class FTQEntry:\n    pass\n",
-        }, [FastcoreAllocRule()])
-        assert findings == []
-
-    def test_reference_core_is_unconstrained(self, tmp_path):
-        # only the fast core promises array-resident entries; the
-        # reference core allocates real FTQEntry objects by design
-        findings = lint(tmp_path, {
-            "pkg/simulator/machine.py": """\
-                from pkg.frontend.ftq import FTQEntry
-
-                class Machine:
-                    def _enqueue_next(self, cycle):
-                        return FTQEntry(None, [], cycle)
-            """,
-            "pkg/frontend/ftq.py": "class FTQEntry:\n    pass\n",
-        }, [FastcoreAllocRule()])
-        assert findings == []
+        assert "wrong_path_blocks" in findings[0].message
 
 
 class TestConfigCoherence:

@@ -16,6 +16,7 @@ import pytest
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore, store_from_env
 from repro.simulator import cache as result_cache
 from repro.simulator import runner as runner_mod
+from repro.simulator.config import MachineConfig
 from repro.simulator.runner import run_benchmark, run_suite_parallel
 from repro.simulator.stats import SimulationStats
 
@@ -25,6 +26,11 @@ from repro.simulator.stats import SimulationStats
 #: ``repro.simulator.cache.RUN_KEY_VERSION`` deliberately, never by
 #: accident.
 GOLDEN_CELL_KEY = "88832e4e37247b5fd87a9ad35e1bcf85b2559118"
+
+#: canonical key of a cell with an overridden MachineConfig
+#: (dotty / eip_46 / seed 2 / btb_entries=4096): pins that the config
+#: payload of non-default machines stays stable as MachineConfig evolves
+OVERRIDE_CELL_KEY = "273c39c94db8a8e49f5e470799ef5722a741d079"
 
 
 def make_stats(instructions=1000, cycles=500, **extra):
@@ -54,6 +60,11 @@ class TestCellKey:
     def test_golden_cell_key_pinned(self):
         key = ResultStore.cell_key("tatp", "pdip_44", 30000, 6000, seed=1)
         assert key == GOLDEN_CELL_KEY
+
+    def test_override_config_cell_key_pinned(self):
+        key = ResultStore.cell_key("dotty", "eip_46", 30000, 6000, seed=2,
+                                   config=MachineConfig(btb_entries=4096))
+        assert key == OVERRIDE_CELL_KEY
 
     def test_matches_run_key(self):
         from repro.simulator.policies import get_policy
