@@ -36,6 +36,7 @@ guess (false-negative limits are catalogued in DESIGN §16).
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.callgraph import CallGraph, CallSite, iter_scope_nodes
@@ -458,6 +459,12 @@ def _collect_shapes(fn: _RouteDef) -> Tuple[Dict[_Shape, int], bool]:
     return shapes, delegates
 
 
+#: one ``%`` conversion spec: key, flags, width, precision, type
+_CONVERSION = re.compile(
+    r"%(?:\([^)]*\))?[#0 +-]*(?:\*|\d+)?(?:\.(?:\*|\d+))?"
+    r"[diouxXeEfFgGcrsa]")
+
+
 def _path_text(expr: ast.expr) -> Optional[str]:
     """Render a client path expression with dynamic pieces as ``*``."""
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
@@ -465,10 +472,7 @@ def _path_text(expr: ast.expr) -> Optional[str]:
     if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mod) \
             and isinstance(expr.left, ast.Constant) \
             and isinstance(expr.left.value, str):
-        text = expr.left.value
-        for conversion in ("%s", "%d", "%r"):
-            text = text.replace(conversion, "*")
-        return text
+        return _CONVERSION.sub("*", expr.left.value)
     if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
         left = _path_text(expr.left)
         if left is None:
@@ -488,11 +492,13 @@ def _path_text(expr: ast.expr) -> Optional[str]:
 
 
 def _path_segments(expr: ast.expr) -> Optional[Tuple[str, ...]]:
+    """Path segments a send targets; a ``?query`` is not part of them."""
     text = _path_text(expr)
     if text is None or not text.startswith("/"):
         return None
+    path = text.partition("?")[0]
     return tuple("*" if "*" in seg else seg
-                 for seg in text.split("/") if seg)
+                 for seg in path.split("/") if seg)
 
 
 def _shape_matches(send: _Shape, handler: _Shape) -> bool:

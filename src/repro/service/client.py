@@ -9,14 +9,23 @@ tests; scripts can use it directly::
 
     client = ServiceClient(port=8642)
     job = client.submit("cassandra", "pdip_44", instructions=100_000)
-    done = client.wait(job["id"])
+    done = client.wait(job["id"])      # returns when the job finishes
     stats = client.result(job["id"])["stats"]
+
+``wait`` long-polls ``GET /jobs/<id>?wait=S``: the server holds each
+status request until the job is terminal or S seconds pass, so no
+client sleeps between polls. ``status(job_id, wait=S)`` is the single
+long-poll, for callers that watch several jobs at once. A server that
+predates ``?wait`` reads the query as part of the job id and answers
+404, so ``wait`` needs a server that long-polls; a plain ``status``
+call sends no query and works against any server.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -152,7 +161,14 @@ class ServiceClient:
     def jobs(self) -> List[Dict[str, object]]:
         return self._checked("GET", "/jobs")["jobs"]
 
-    def status(self, job_id: str) -> Dict[str, object]:
+    def status(self, job_id: str, wait: float = 0.0) -> Dict[str, object]:
+        """One job's summary. With ``wait`` > 0 this is a long-poll: the
+        server answers once the job is terminal or ``wait`` seconds pass
+        (the server caps the window). A long-poll needs a server that
+        knows ``?wait``; ``wait=0`` sends the plain ``GET /jobs/<id>``."""
+        if wait > 0:
+            return self._checked("GET", "/jobs/%s?wait=%.3f"
+                                 % (job_id, wait))["job"]
         return self._checked("GET", "/jobs/%s" % job_id)["job"]
 
     def result(self, job_id: str) -> Dict[str, object]:
@@ -206,20 +222,33 @@ class ServiceClient:
         return self._checked("POST", "/sweeps/%s/progress" % sweep_id,
                              body)["sweep"]
 
-    def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll: float = 0.1) -> Dict[str, object]:
-        """Poll until the job reaches a terminal state; returns it.
+    @property
+    def wait_window(self) -> float:
+        """Longest long-poll this client asks for: half the socket
+        timeout, so every answer beats it (``inf`` without one; the
+        server clamps every window to its own cap)."""
+        if self.timeout is None:
+            return math.inf
+        return self.timeout / 2.0
 
-        Raises ``TimeoutError`` if ``timeout`` seconds elapse first.
+    def wait(self, job_id: str,
+             timeout: Optional[float] = None) -> Dict[str, object]:
+        """Block until the job reaches a terminal state; returns it.
+
+        A loop of long-polled :meth:`status` calls, so it returns as soon
+        as the job ends. Raises ``TimeoutError`` if ``timeout`` seconds
+        elapse first.
         """
         from repro.service.jobs import JobState
 
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            job = self.status(job_id)
+            window = self.wait_window
+            if deadline is not None:
+                window = min(window, max(0.0, deadline - time.monotonic()))
+            job = self.status(job_id, wait=window)
             if job["state"] in JobState.TERMINAL:
                 return job
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("job %s still %s after %.3gs"
                                    % (job_id, job["state"], timeout))
-            time.sleep(poll)

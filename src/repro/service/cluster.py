@@ -646,7 +646,7 @@ class Coordinator(SimulationServer):
         self.counters["shard_put_failures"] += 1
 
     # -- routing --------------------------------------------------------
-    async def _route(self, method: str, path: str,
+    async def _route(self, method: str, path: str, query: Dict[str, str],
                      body: Optional[Dict[str, object]]
                      ) -> Tuple[int, Dict[str, object]]:
         parts = [p for p in path.split("/") if p]
@@ -666,7 +666,7 @@ class Coordinator(SimulationServer):
                 if parts[2] == "deregister":
                     return self._deregister(parts[1])
             return 404, {"error": "no route for %s %s" % (method, path)}
-        status, payload = await super()._route(method, path, body)
+        status, payload = await super()._route(method, path, query, body)
         if method == "GET" and parts == ["healthz"] and status == 200:
             alive = self.alive_workers()
             payload["mode"] = "coordinator"
@@ -917,7 +917,7 @@ class WorkerNode:
         try:
             parsed = await _read_request(reader)
             if parsed is not None:
-                method, path, body = parsed
+                method, path, _query, body = parsed
                 status, payload = await self._route(method, path, body)
         except (ValueError, asyncio.IncompleteReadError) as exc:
             status, payload = 400, {"error": "bad request: %s" % exc}

@@ -19,7 +19,11 @@ Endpoints (all JSON)::
     POST /jobs               submit a cell; 202 queued / 200 coalesced or
                              store hit / 400 invalid / 429 queue full /
                              503 draining
-    GET  /jobs/<id>          one job's status
+    GET  /jobs/<id>          one job's status; ``?wait=S`` long-polls:
+                             held until the job is terminal or S
+                             seconds pass (S capped at MAX_WAIT_S),
+                             then the same summary (400 if S is not
+                             a number >= 0)
     GET  /jobs/<id>/result   the stats payload (409 until terminal)
     POST /jobs/<id>/cancel   cancel a queued (immediate) or running
                              (best-effort, takes effect at the next
@@ -49,6 +53,7 @@ import heapq
 import json
 import signal
 import time
+import urllib.parse
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -76,6 +81,9 @@ DEFAULT_QUEUE_LIMIT = 256
 DEFAULT_RETRIES = 2
 #: base exponential-backoff delay between attempts (seconds)
 DEFAULT_BACKOFF_S = 0.25
+
+#: cap on one ``GET /jobs/<id>?wait=S`` long-poll window (seconds)
+MAX_WAIT_S = 30.0
 
 _MAX_BODY = 1 << 20          # 1 MiB submission bodies are plenty
 _MAX_HEADERS = 64
@@ -109,6 +117,9 @@ class SimulationServer:
         self._slots = asyncio.Semaphore(self.worker_count)
         self._running: set = set()             # live _run_job tasks
         self._by_key: Dict[str, str] = {}      # active cell key -> job id
+        #: job id -> set when that job finishes; made only for waited jobs
+        self._finished: Dict[str, asyncio.Event] = {}
+        self._answering: set = set()           # handlers with a request read
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = asyncio.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -174,6 +185,11 @@ class SimulationServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._answering:
+            # every job is terminal now, so held long-polls are on their
+            # way out (wait_closed() only waits for them from 3.12.1 on);
+            # bounded, so a client that stopped reading cannot pin us
+            await asyncio.wait(list(self._answering), timeout=MAX_WAIT_S)
         loop = asyncio.get_event_loop()
         if self._pool is not None:
             pool = self._pool
@@ -239,10 +255,25 @@ class SimulationServer:
         job.finished = time.time()
         if self._by_key.get(job.key) == job.id:
             del self._by_key[job.key]
+        event = self._finished.pop(job.id, None)
+        if event is not None:
+            event.set()
         if state == JobState.FAILED:
             self.counters["failed"] += 1
         elif state == JobState.CANCELLED:
             self.counters["cancelled"] += 1
+
+    async def _await_finish(self, job: Job, window: float) -> None:
+        """Hold a long-poll until ``job`` is terminal or ``window`` s pass."""
+        if window <= 0 or job.state in JobState.TERMINAL:
+            return
+        event = self._finished.get(job.id)
+        if event is None:
+            event = self._finished[job.id] = asyncio.Event()
+        try:
+            await asyncio.wait_for(event.wait(), window)
+        except asyncio.TimeoutError:
+            pass  # window spent: answer with the non-terminal summary
 
     async def _run_job(self, job: Job) -> None:
         try:
@@ -486,7 +517,7 @@ class SimulationServer:
                            [self.jobs[j].summary() for j in self._order],
                            workers=workers, store=store_info)
 
-    async def _route(self, method: str, path: str,
+    async def _route(self, method: str, path: str, query: Dict[str, str],
                      body: Optional[Dict[str, object]]
                      ) -> Tuple[int, Dict[str, object]]:
         parts = [p for p in path.split("/") if p]
@@ -537,6 +568,7 @@ class SimulationServer:
             if job is None:
                 return 404, {"error": "no such job %r" % parts[1]}
             if method == "GET" and len(parts) == 2:
+                await self._await_finish(job, _wait_window(query))
                 return 200, {"job": job.summary()}
             if method == "GET" and parts[2:] == ["result"]:
                 if job.state != JobState.DONE:
@@ -551,11 +583,14 @@ class SimulationServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         status, payload = 400, {"error": "malformed request"}
+        task = asyncio.current_task()
         try:
             parsed = await _read_request(reader)
             if parsed is not None:
-                method, path, body = parsed
-                status, payload = await self._route(method, path, body)
+                self._answering.add(task)
+                method, path, query, body = parsed
+                status, payload = await self._route(method, path, query,
+                                                    body)
         except (ValueError, asyncio.IncompleteReadError) as exc:
             status, payload = 400, {"error": "bad request: %s" % exc}
         except Exception as exc:  # noqa: BLE001 - control plane must answer
@@ -567,6 +602,7 @@ class SimulationServer:
             pass  # client went away; nothing to tell it
         finally:
             writer.close()
+            self._answering.discard(task)
 
 
 def tear_down_pool(pool: ProcessPoolExecutor) -> None:
@@ -594,15 +630,18 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 
 
 async def _read_request(reader: asyncio.StreamReader
-                        ) -> Optional[Tuple[str, str, Optional[dict]]]:
-    """Parse one HTTP/1.x request: (method, path, JSON body or None)."""
+                        ) -> Optional[Tuple[str, str, Dict[str, str],
+                                            Optional[dict]]]:
+    """Parse one HTTP/1.x request: (method, path, query, JSON body or
+    None); the query string is split off the path into a dict."""
     line = await reader.readline()
     if not line:
         return None
     try:
-        method, path, _version = line.decode("latin-1").split(None, 2)
+        method, target, _version = line.decode("latin-1").split(None, 2)
     except ValueError:
         raise ValueError("bad request line %r" % line[:80])
+    path, _, query = target.partition("?")
     length = 0
     for _ in range(_MAX_HEADERS):
         header = await reader.readline()
@@ -619,7 +658,24 @@ async def _read_request(reader: asyncio.StreamReader
     if length:
         raw = await reader.readexactly(length)
         body = json.loads(raw.decode("utf-8"))
-    return method.upper(), path, body
+    return (method.upper(), path,
+            dict(urllib.parse.parse_qsl(query, keep_blank_values=True)), body)
+
+
+def _wait_window(query: Dict[str, str]) -> float:
+    """The ``?wait=S`` long-poll window: 0.0 when absent, clamped to
+    :data:`MAX_WAIT_S`; ``ValueError`` (a 400) unless S is a number >= 0."""
+    raw = query.get("wait")
+    if raw is None:
+        return 0.0
+    try:
+        window = float(raw)
+    except ValueError:
+        window = float("nan")
+    if not window >= 0:
+        raise ValueError("wait must be a number of seconds >= 0, got %r"
+                         % raw)
+    return min(window, MAX_WAIT_S)
 
 
 def _write_response(writer: asyncio.StreamWriter, status: int,

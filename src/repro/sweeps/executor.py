@@ -50,8 +50,10 @@ __all__ = ["SweepReport", "run_sweep", "sweep_state_path", "load_state"]
 
 #: Ceiling on submissions outstanding against a service at once.
 DEFAULT_MAX_IN_FLIGHT = 16
-#: Terminal-state poll cadence in service mode (seconds).
-_POLL_S = 0.2
+#: A service round that settles nothing long-polls the oldest in-flight
+#: job for at most this long (seconds), so a later job that ends first
+#: is still seen, and its slot refilled, within this bound.
+_SETTLE_WAIT_S = 0.2
 #: Dashboard progress updates are throttled to this period (seconds).
 _DASH_PERIOD_S = 1.0
 _STATE_SCHEMA = 1
@@ -290,6 +292,7 @@ def _run_service(dirty: List[PlanCell], report: SweepReport,
     """Submit dirty cells to a running server, bounded in-flight."""
     queue = list(dirty)
     in_flight: Dict[str, PlanCell] = {}  # job id -> cell
+    polled: Dict[str, Dict[str, object]] = {}  # job id -> fresh summary
     while queue or in_flight:
         while queue and len(in_flight) < max_in_flight:
             cell = queue.pop(0)
@@ -306,7 +309,7 @@ def _run_service(dirty: List[PlanCell], report: SweepReport,
             in_flight[str(job["id"])] = cell
         settled = []
         for job_id, cell in in_flight.items():
-            job = client.status(job_id)
+            job = polled.pop(job_id, None) or client.status(job_id)
             state = job["state"]
             if state == "done":
                 result = client.result(job_id)
@@ -331,7 +334,11 @@ def _run_service(dirty: List[PlanCell], report: SweepReport,
             checkpoint()
             feed.push(report)
         elif in_flight:
-            time.sleep(_POLL_S)
+            # nothing settled: long-poll the oldest job, whose end is
+            # then seen at once; the next round reuses its summary
+            oldest = next(iter(in_flight))
+            polled[oldest] = client.status(
+                oldest, wait=min(client.wait_window, _SETTLE_WAIT_S))
 
 
 # ----------------------------------------------------------------------

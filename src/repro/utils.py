@@ -13,9 +13,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import signal
 import sys
+import threading
+import time
 
 #: ``@dataclass(**SLOTTED)`` gives hot-path record classes ``__slots__``
 #: (faster attribute access, no per-instance ``__dict__``) on Python
@@ -111,6 +114,10 @@ def geomean(values) -> float:
     return product ** (1.0 / len(values))
 
 
+#: how often a process-pool child checks that its parent is alive (s)
+_PARENT_CHECK_S = 0.5
+
+
 def pool_child_init() -> None:
     """Process-pool initializer: detach from the parent's signal plumbing.
 
@@ -123,6 +130,12 @@ def pool_child_init() -> None:
     Restoring default dispositions makes a child's SIGTERM kill only
     the child.
 
+    It also starts a daemon thread that exits the child once its parent
+    is gone. A SIGKILLed parent never closes the pool's call queue, and
+    the child holds that pipe's write end itself, so a child blocked
+    reading it would otherwise live on as an orphan with the parent's
+    files (e.g. a store shard's SQLite index) still open.
+
     Lives here (not in ``repro.service.jobs``) so the batch runner in
     ``repro.simulator`` can install it too without breaking the
     layering DAG; the ``pool-child-init`` lint rule requires it at
@@ -131,3 +144,13 @@ def pool_child_init() -> None:
     signal.set_wakeup_fd(-1)
     for sig in (signal.SIGTERM, signal.SIGINT):
         signal.signal(sig, signal.SIG_DFL)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     name="exit-with-parent", daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Poll until this process is reparented away from ``parent``, then
+    exit at once (no cleanup: the parent that owned it is gone)."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_CHECK_S)
+    os._exit(1)

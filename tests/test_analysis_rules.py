@@ -1048,6 +1048,31 @@ class TestRouteConformance:
         }, [RouteConformanceRule()])
         assert findings == []
 
+    def test_query_on_existing_route_matches(self, tmp_path):
+        # the query string is not a path segment, and every % conversion
+        # (here %.3f) is a wildcard
+        client = (_ROUTE_CLIENT
+                  .replace('"/healthz"', '"/healthz?x=1"')
+                  .replace('"/jobs/%s" % job_id',
+                           '"/jobs/%s?wait=%.3f" % (job_id, 1.0)'))
+        findings = lint(tmp_path, {
+            "pkg/service/__init__.py": "",
+            "pkg/service/server.py": _ROUTE_SERVER,
+            "pkg/service/client.py": client,
+        }, [RouteConformanceRule()])
+        assert findings == []
+
+    def test_query_on_missing_route_fires(self, tmp_path):
+        findings = lint(tmp_path, {
+            "pkg/service/__init__.py": "",
+            "pkg/service/server.py": _ROUTE_SERVER,
+            "pkg/service/client.py":
+                _ROUTE_CLIENT.replace('"/healthz"', '"/health?x=1"'),
+        }, [RouteConformanceRule()])
+        assert rules_fired(findings) == ["route-conformance"]
+        messages = " | ".join(f.message for f in findings)
+        assert "client sends GET /health but" in messages
+
     def test_no_service_modules_is_silent(self, tmp_path):
         findings = lint(tmp_path, {
             "pkg/core/a.py": "x = 1\n",

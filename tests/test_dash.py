@@ -153,6 +153,47 @@ class TestDashEndpoints:
         state = client.dash_state()
         assert state["sweeps"][0]["id"] == row["id"]
 
+    def test_service_sweep_long_polls_instead_of_sleeping(
+            self, harness, tmp_path, monkeypatch):
+        # settled jobs are found by long-polling the server, so the
+        # executor has no sleep left to take
+        from repro.sweeps import executor
+
+        class NoSleep:
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            @staticmethod
+            def sleep(seconds):
+                raise AssertionError("service sweep slept %.3gs" % seconds)
+
+        monkeypatch.setattr(executor, "time", NoSleep())
+        h = harness(jobs=2, store=ResultStore(tmp_path / "store"))
+        client = h.client()
+        calls = []
+        status = client.status
+
+        def recording_status(job_id, wait=0.0):
+            calls.append((job_id, wait))
+            return status(job_id, wait=wait)
+
+        client.status = recording_status
+        plan = compile_spec(parse_spec({
+            "axes": {"benchmark": ["noop"],
+                     "policy": ["baseline", "pdip_44", "2x_il1"],
+                     "seed": [1, 2]},
+            "defaults": {"instructions": 2000, "warmup": 300},
+        }))
+        report = run_sweep(plan, client=client, state_path="")
+        assert report.counts["executed"] == 6
+        assert report.failed == {}
+        assert len(report.results()["noop"]) == 3
+        # a later job that ends first waits no longer than the old poll
+        assert max(wait for _, wait in calls) <= executor._SETTLE_WAIT_S
+        # a long-polled summary is reused, not fetched again
+        for (job, wait), following in zip(calls, calls[1:]):
+            assert not (wait > 0 and following == (job, 0.0)), calls
+
     def test_sweep_against_server_without_dash_routes_still_runs(
             self, harness, tmp_path, monkeypatch):
         # a _DashFeed that cannot register degrades to silence, not failure

@@ -8,7 +8,8 @@ stdlib :class:`~repro.service.client.ServiceClient`. Fault injection
 timeout -> pool reset -> retry with backoff -> terminal ``failed``;
 worker crash -> ``BrokenProcessPool`` -> pool reset -> server survives.
 The drain tests check the SIGTERM contract: no new submissions, the
-backlog finishes and persists, the process exits 0.
+backlog finishes and persists, the process exits 0. A SIGKILLed server
+must not leave its pool child behind as an orphan.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ CELL = dict(benchmark="noop", policy="baseline", instructions=2000,
 class Harness:
     """A live server on an ephemeral port, event loop in a thread."""
 
+    server_class = SimulationServer
+
     def __init__(self, **kwargs):
-        self.server = SimulationServer(**kwargs)
+        self.server = self.server_class(**kwargs)
         self.port = None
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -333,3 +336,71 @@ class TestSigtermDrain:
             assert store.get(key) is not None
         assert job["state"] in (JobState.QUEUED, JobState.RUNNING,
                                 JobState.DONE)
+
+
+def _children(pid):
+    """Live PIDs whose parent is ``pid``, read from /proc."""
+    pids = [int(entry) for entry in os.listdir("/proc") if entry.isdigit()]
+    return [child for child in pids
+            if _proc_stat(child)[1:2] == [str(pid)] and _alive(child)]
+
+
+def _proc_stat(pid):
+    """``[state, ppid, ...]`` of /proc/<pid>/stat ([] once it is gone)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            # fields after the parenthesised command name (which may
+            # itself hold spaces or parentheses)
+            return fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return []
+
+
+def _alive(pid):
+    # an exited orphan may stay a zombie if PID 1 does not reap it
+    return _proc_stat(pid)[:1] not in ([], ["Z"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads /proc (Linux)")
+class TestSigkillOrphans:
+    def test_sigkilled_server_leaves_no_pool_child(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ,
+                   PYTHONPATH=str(src),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   REPRO_NO_MANIFEST="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "1", "--allow-faults"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env)
+        children = []
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://[\d.]+:(\d+)", line)
+            assert match, "no listen line: %r" % line
+            client = ServiceClient(port=int(match.group(1)), timeout=15)
+            job = client.submit("noop", fault="hang", fault_seconds=60)
+            wait_state(client, job["id"], JobState.RUNNING)
+            deadline = time.monotonic() + 10.0
+            while not children and time.monotonic() < deadline:
+                children = _children(proc.pid)
+            assert children, "the server forked no pool child"
+            # machine-death shape: the server gets no chance to clean up
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while (any(_alive(pid) for pid in children)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            leftover = [pid for pid in children if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in children:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert leftover == [], "orphaned pool children outlived the server"
