@@ -26,8 +26,7 @@ a score taken with the trace recorder attached measures telemetry
 overhead, not the simulator, and must never land in
 ``BENCH_runner.json`` or a recorded baseline.
 
-The bench also bypasses every result cache — the on-disk cache, and
-deliberately the durable service store (``REPRO_STORE`` is ignored;
+The bench also bypasses the result store (``REPRO_STORE`` is ignored;
 there is no ``--store`` flag): a bench score must time a real
 simulation, never a lookup. Each cell builds its machine directly and
 calls ``Machine.run``, so no caching layer can intervene.

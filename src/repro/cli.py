@@ -43,19 +43,23 @@ Commands:
   server's live dashboard;
 * ``list`` — show the available benchmarks, policies, and figures.
 
-``run``, ``suite``, and ``figure`` accept ``--store DIR`` (or the
-``REPRO_STORE`` env var) to read and write the same durable store the
-server uses, so batch and served work share one result set. ``bench``
-deliberately has no such flag — scores must time real simulations.
+Every result is looked up in and written to one result store
+(:mod:`repro.simulator.cache`). ``--store DIR`` (or the ``REPRO_STORE``
+env var) picks its root, else ``<cache dir>/store`` — the root ``serve``
+also defaults to, so batch and served work share one result set.
+``bench`` deliberately has no such flag — scores must time real
+simulations.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from typing import List, Optional
 
+from repro.simulator.cache import STORE_ENV, open_store
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         _store_arg(p_verb)
         p_verb.add_argument("--state", default=None, metavar="PATH",
                             help="resumable state file (default: keyed by "
-                                 "plan digest under the result cache; "
+                                 "plan digest under the cache dir; "
                                  "'' disables)")
         p_verb.add_argument("--format", dest="format", default="text",
                             choices=("text", "json"))
@@ -415,8 +419,8 @@ def _jobs_arg(parser: argparse.ArgumentParser) -> None:
 
 def _store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", default=None, metavar="DIR",
-                        help="durable result store to read/write "
-                             "(default: REPRO_STORE env, else none)")
+                        help="result store root (default: REPRO_STORE "
+                             "env, else <cache dir>/store)")
 
 
 def _endpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -424,15 +428,6 @@ def _endpoint_args(parser: argparse.ArgumentParser) -> None:
                         help="server address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=None,
                         help="server port (default 8642)")
-
-
-def _resolve_store(path: Optional[str]):
-    """ResultStore for an explicit --store path or the REPRO_STORE env."""
-    from repro.service.store import ResultStore, store_from_env
-
-    if path:
-        return ResultStore(path)
-    return store_from_env()
 
 
 def _run_dump(args: argparse.Namespace, stats, session=None,
@@ -466,7 +461,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                           warmup=args.warmup, seed=args.seed,
                           use_cache=not args.no_cache,
                           telemetry=session,
-                          store=_resolve_store(args.store))
+                          store=open_store())
     if args.stats_out:
         import json
         from pathlib import Path
@@ -506,7 +501,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
                                  instructions=args.instructions,
                                  warmup=args.warmup, seed=args.seed,
                                  jobs=args.jobs, verbose=True,
-                                 store=_resolve_store(args.store))
+                                 store=open_store())
     latest = manifest_mod.latest()
     if latest is not None:
         print(f"\nmanifest: {latest}")
@@ -524,14 +519,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """``repro figure``: regenerate paper artifacts."""
-    import os
-
     if args.jobs is not None:
         # the figure drivers read REPRO_JOBS through experiments.common
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.store is not None:
-        # likewise, drivers resolve the store via the REPRO_STORE env
-        os.environ["REPRO_STORE"] = args.store
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         module = importlib.import_module(FIGURES[name])
@@ -594,7 +584,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def _cmd_trace_run(args: argparse.Namespace) -> int:
     """``repro trace run``: simulate with telemetry, export both formats."""
     import json
-    import os
 
     from repro.telemetry import TelemetrySession, export_recorder
     from repro.telemetry.recorder import DEFAULT_CAPACITY
@@ -677,7 +666,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from repro.traces.ingest import ingest_path
     from repro.traces.schema import TraceIngestError
 
-    store = _resolve_store(args.store)
+    store = open_store()
     try:
         report = ingest_path(args.file, fmt=args.format, store=store,
                              name=args.register or "",
@@ -699,9 +688,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               f"events across {ds.windows_kept}/{ds.windows_total} windows "
               f"({ds.phase_windows} phase heads; budget {ds.budget:,}, "
               f"seed {ds.seed})")
-    if store is None:
-        print("  (no --store/REPRO_STORE: blob not persisted; runs will "
-              "re-ingest from the source file)")
     if args.register:
         try:
             from repro.traces.registry import register_ingested
@@ -746,10 +732,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the simulation job server until drained."""
-    import os
-
     from repro.service import server as service_server
-    from repro.simulator import cache as result_cache
+    from repro.simulator.cache import store_root
 
     if args.coordinator:
         from repro.service import cluster
@@ -773,16 +757,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                                if args.heartbeat_timeout is not None
                                else cluster.DEFAULT_HEARTBEAT_TIMEOUT))
 
-    store_root = None
-    if not args.no_store:
-        store_root = (args.store
-                      or os.environ.get("REPRO_STORE", "").strip()
-                      or str(result_cache.cache_dir() / "store"))
     return service_server.serve(
         host=args.host,
         port=(args.port if args.port is not None
               else service_server.DEFAULT_PORT),
-        store_root=store_root,
+        store_root=None if args.no_store else str(store_root()),
         jobs=args.jobs,
         queue_limit=(args.queue_limit if args.queue_limit is not None
                      else service_server.DEFAULT_QUEUE_LIMIT),
@@ -955,7 +934,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep plan|run|status``: the declarative sweep engine."""
     import json
 
-    from repro.simulator import cache as result_cache
     from repro.sweeps import (
         DEFAULT_MAX_IN_FLIGHT,
         SweepSpecError,
@@ -971,7 +949,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except SweepSpecError as exc:
         print(f"sweep spec error: {exc}")
         return 2
-    store = _resolve_store(args.store)
     state_file = sweep_state_path(plan) if args.state is None else args.state
 
     if args.sweep_command == "plan":
@@ -992,16 +969,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"  {cell.describe():44s} {cell.key[:12]}")
         return 0
 
+    store = open_store()
     if args.sweep_command == "status":
         state = load_state(state_file, plan) if state_file else {
             "done": {}, "failed": {}}
-        counts = {"store": 0, "cache": 0, "failed": 0, "pending": 0}
+        counts = {"store": 0, "failed": 0, "pending": 0}
         rows = []
         for cell in plan.cells:
-            if store is not None and cell.key in store:
+            if cell.key in store:
                 source = "store"
-            elif result_cache.load(cell.key) is not None:
-                source = "cache"
             elif cell.key in state["failed"]:
                 source = "failed"
             else:
@@ -1013,9 +989,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                               "counts": counts, "cells": rows},
                              indent=2, sort_keys=True))
         else:
-            warm = counts["store"] + counts["cache"]
-            print(f"sweep {plan.name}: {len(plan.cells)} cells, {warm} warm "
-                  f"({counts['store']} store / {counts['cache']} cache), "
+            print(f"sweep {plan.name}: {len(plan.cells)} cells, "
+                  f"{counts['store']} warm (store), "
                   f"{counts['pending']} pending, {counts['failed']} failed")
         return 0 if not counts["failed"] else 1
 
@@ -1040,7 +1015,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          indent=2, sort_keys=True))
     else:
         print(f"sweep {plan.name}: {counts['total']} cells — "
-              f"{counts['store']} store, {counts['cache']} cache, "
+              f"{counts['store']} store, "
               f"{counts['executed']} executed, {counts['failed']} failed")
         if args.report:
             print(f"report: {args.report}")
@@ -1071,8 +1046,7 @@ def cmd_dash(args: argparse.Namespace) -> int:
         print(f"workers: {alive}/{len(workers)} alive")
     for sweep in state.get("sweeps") or []:
         counts = sweep.get("counts") or {}
-        done = (counts.get("store", 0) + counts.get("cache", 0)
-                + counts.get("executed", 0))
+        done = counts.get("store", 0) + counts.get("executed", 0)
         print(f"sweep {sweep['name']} [{sweep['state']}]: "
               f"{done}/{sweep.get('total', 0)} done, "
               f"{counts.get('failed', 0)} failed")
@@ -1127,6 +1101,10 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: run with env-controlled budgets and print."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "store", None):
+        # --store roots the process's one store: every open_store() of
+        # this command, the figure code it runs and its pool children
+        os.environ[STORE_ENV] = args.store
     return COMMANDS[args.command](args)
 
 

@@ -149,8 +149,7 @@ function heatmap(sw) {
 }
 function sweepCard(sw) {
   const counts = sw.counts || {}, total = sw.total || 0;
-  const done = (counts.store || 0) + (counts.cache || 0) +
-               (counts.executed || 0);
+  const done = (counts.store || 0) + (counts.executed || 0);
   const failed = counts.failed || 0;
   const pct = total ? Math.round(100 * (done + failed) / total) : 0;
   const badge = sw.state === "failed" ? "bad" : (sw.state === "done" ?

@@ -57,50 +57,24 @@ def jobs(value: Optional[int] = None) -> int:
     return resolve_jobs(value, default=1)
 
 
-#: memoized store handle so every figure in a ``figure all`` run shares
-#: one SQLite connection; re-resolved when REPRO_STORE changes
-_STORE = None
-_STORE_ROOT: Optional[str] = None
-
-
-def store():
-    """The durable result store named by ``REPRO_STORE`` (None if unset).
-
-    ``repro figure --store DIR`` exports the env var, so every figure
-    driver transparently reads and writes the same store the job server
-    uses (see DESIGN.md §13). The bench harness never calls this.
-    """
-    global _STORE, _STORE_ROOT
-
-    root = os.environ.get("REPRO_STORE", "").strip() or None
-    if root != _STORE_ROOT:
-        if _STORE is not None:
-            _STORE.close()
-        _STORE = None
-        _STORE_ROOT = root
-        if root:
-            from repro.service.store import ResultStore
-
-            _STORE = ResultStore(root)
-    return _STORE
-
-
 def collect(policies: Sequence[str], benchmarks: Sequence[str],
             instructions: int, warmup: int, seed: int = 1,
             config: Optional[MachineConfig] = None,
             n_jobs: Optional[int] = None,
             ) -> Dict[str, Dict[str, SimulationStats]]:
-    """{benchmark: {policy: stats}} through the on-disk result cache.
+    """{benchmark: {policy: stats}} through the default result store.
 
     Dispatches the grid via
     :func:`~repro.simulator.runner.run_suite_parallel` — cells fan out
     across ``n_jobs`` worker processes (default: the ``REPRO_JOBS``
     env, else serial) and every call emits a run manifest.
+    ``repro figure --store DIR`` roots the store at ``DIR`` through the
+    ``REPRO_STORE`` env (see DESIGN.md §13).
     """
     return run_suite_parallel(
         policies, benchmarks=benchmarks, instructions=instructions,
         warmup=warmup, config=config, seed=seed, jobs=jobs(n_jobs),
-        label="experiment", store=store())
+        label="experiment")
 
 
 def speedup_pct(stats: SimulationStats, baseline: SimulationStats) -> float:

@@ -2,10 +2,10 @@
 
 The serving layer above the parallel suite runner (DESIGN.md §13):
 
-* :mod:`repro.service.store` — content-addressed, deduplicating
-  persistence for simulation results (SQLite index + blob directory),
-  keyed by the canonical cell digest shared with the result cache and
-  the run manifests;
+* :mod:`repro.service.store` — the content-addressed result store
+  (SQLite index + blob directory, keyed by the canonical cell digest
+  shared with the run manifests), re-exported from
+  :mod:`repro.simulator.cache`;
 * :mod:`repro.service.server` — a long-lived asyncio job server
   (``repro serve``) with a priority queue, a bounded process-pool of
   simulation workers, per-job timeouts, bounded retries with backoff,
@@ -21,7 +21,7 @@ The serving layer above the parallel suite runner (DESIGN.md §13):
   retry-on-another-worker when a worker is lost mid-job.
 
 Layering: ``service`` sits above ``simulator`` (it reuses the runner
-internals and the result-cache keys) and below nothing — no simulation
+internals and the result store) and below nothing — no simulation
 or model code may import it (enforced by ``repro lint``).
 """
 
@@ -35,7 +35,7 @@ from repro.service.cluster import (
 )
 from repro.service.jobs import Job, JobState, execute_cell
 from repro.service.server import DEFAULT_PORT, SimulationServer, serve
-from repro.service.store import ResultStore, store_from_env
+from repro.service.store import ResultStore
 
 __all__ = [
     "DEFAULT_PORT",
@@ -52,5 +52,4 @@ __all__ = [
     "run_worker",
     "serve",
     "serve_coordinator",
-    "store_from_env",
 ]

@@ -26,7 +26,7 @@ single-node server speaks)::
 * **Consistent-hash sharding.** The content-addressed store is sharded
   across workers by the canonical run digest: :class:`HashRing` (SHA-1
   points, virtual nodes) maps each cell key to its *owner*, which
-  holds the key's blob in its local :class:`~repro.service.store
+  holds the key's blob in its local :class:`~repro.simulator.cache
   .ResultStore` shard and preferentially executes it. Worker
   join/leave remaps only the keys the ring assigns to/from that worker
   (property-tested), so a warm fleet stays warm through membership
@@ -79,8 +79,8 @@ from repro.service.server import (
     _write_response,
     tear_down_pool,
 )
-from repro.service.store import ResultStore
 from repro.simulator import cache as result_cache
+from repro.simulator.cache import ResultStore
 from repro.simulator.stats import SimulationStats
 
 #: virtual nodes per worker on the shard ring

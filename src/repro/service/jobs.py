@@ -159,8 +159,8 @@ def normalize_submission(body: Dict[str, object]) -> Dict[str, object]:
 def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Pool worker: simulate one cell from its normalized payload.
 
-    Bypasses the on-disk result cache (the server parent owns all
-    persistence, so workers never write concurrently). Returns
+    Bypasses the result store (the server parent owns all
+    persistence, so workers never write). Returns
     ``{stats, wall_time, worker, config_hash}``.
     """
     from repro.simulator.runner import run_benchmark

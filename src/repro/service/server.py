@@ -5,7 +5,7 @@ simulation cells across a bounded :class:`ProcessPoolExecutor`, fronted
 by a minimal HTTP/1.1 control plane on :func:`asyncio.start_server`
 (no aiohttp, no http.server — requests are framed by hand). The shape
 is an inference-serving results cache: submissions deduplicate against
-the content-addressed :class:`~repro.service.store.ResultStore` and
+the content-addressed :class:`~repro.simulator.cache.ResultStore` and
 against identical in-flight jobs, a priority queue orders the backlog,
 the queue is bounded (HTTP 429 past the limit), per-job timeouts and
 worker crashes are retried with exponential backoff, and SIGTERM drains
@@ -68,8 +68,8 @@ from repro.service.jobs import (
     normalize_submission,
     pool_child_init,
 )
-from repro.service.store import ResultStore
 from repro.simulator import cache as result_cache
+from repro.simulator.cache import ResultStore
 from repro.simulator.stats import SimulationStats
 from repro.utils import canonical_digest
 

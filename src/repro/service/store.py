@@ -1,471 +1,10 @@
-"""Content-addressed, durable result store (SQLite index + blob dir).
+"""The result store, as the layers above the simulator import it.
 
-The store is the persistence layer the figure scripts never had: every
-simulated cell is recorded under its :func:`repro.simulator.cache.run_key`
-digest — the canonical hash of (benchmark profile, policy spec,
-instruction budget, seed, :class:`~repro.simulator.config.MachineConfig`
-including the nested ``HierarchyConfig``, run-key code version) — so a
-design-space sweep run twice performs zero simulations the second time,
-across processes, machines sharing a volume, and weeks of wall time.
-
-Layout on disk (everything under one root directory)::
-
-    <root>/store.sqlite          # index: one row per cell key
-    <root>/blobs/ab/abcdef...json  # content-addressed payload files
-
-The SQLite index maps a cell key to the *content digest* of its stats
-payload (and optionally of a telemetry dump); payloads live in the blob
-directory named by the SHA-1 of their canonical JSON. Two cells with
-bit-identical stats therefore share one blob file — sweeps that plateau
-(e.g. PDIP table sizes past the working set) deduplicate storage for
-free, and bit-identity between two runs is a file-name comparison.
-
-Consistency model: blobs are immutable once written (a digest never
-changes content) and are written atomically (temp file + ``rename``);
-the index row is inserted only after its blob exists. Readers therefore
-never observe a partial payload. Concurrent writers of the same cell
-are idempotent — both write the same blob bytes and the second row
-upsert wins harmlessly. Eviction (:meth:`ResultStore.prune`) deletes
-least-recently-accessed index rows first and then garbage-collects
-unreferenced blobs; a reader holding a key between those two steps just
-re-simulates, it can never load a torn result.
-
-``repro bench`` deliberately bypasses the store (as it bypasses the
-result cache): a bench score must time a real simulation, never a
-lookup.
+:class:`ResultStore` and :func:`open_store` live in
+:mod:`repro.simulator.cache`, beside :func:`~repro.simulator.cache.run_key`,
+so the batch runner can open the store without importing the service.
 """
 
-from __future__ import annotations
+from repro.simulator.cache import STORE_SCHEMA_VERSION, ResultStore, open_store
 
-import json
-import os
-import sqlite3
-import threading
-import time
-from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.simulator import cache as result_cache
-from repro.simulator.config import MachineConfig
-from repro.simulator.policies import PolicySpec, get_policy
-from repro.simulator.stats import SimulationStats
-from repro.utils import canonical_digest
-
-#: store schema version (bump when the SQLite layout changes)
-STORE_SCHEMA_VERSION = 2
-
-#: env var naming the store root directory; batch entry points
-#: (``repro run/suite/figure --store``, the experiments drivers, the
-#: prewarm scripts) resolve it via :func:`store_from_env`
-STORE_ENV = "REPRO_STORE"
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS results (
-    key TEXT PRIMARY KEY,
-    benchmark TEXT NOT NULL DEFAULT '',
-    policy TEXT NOT NULL DEFAULT '',
-    seed INTEGER NOT NULL DEFAULT 0,
-    instructions INTEGER NOT NULL DEFAULT 0,
-    warmup INTEGER NOT NULL DEFAULT 0,
-    config_hash TEXT NOT NULL DEFAULT '',
-    code_version INTEGER NOT NULL DEFAULT 0,
-    stats_blob TEXT NOT NULL,
-    telemetry_blob TEXT,
-    manifest TEXT,
-    created REAL NOT NULL,
-    last_access REAL NOT NULL,
-    hits INTEGER NOT NULL DEFAULT 0
-);
-CREATE INDEX IF NOT EXISTS idx_results_last_access
-    ON results (last_access);
-CREATE INDEX IF NOT EXISTS idx_results_cell
-    ON results (benchmark, policy, seed);
-CREATE TABLE IF NOT EXISTS traces (
-    digest TEXT PRIMARY KEY,
-    name TEXT NOT NULL DEFAULT '',
-    source_sha TEXT NOT NULL DEFAULT '',
-    events INTEGER NOT NULL DEFAULT 0,
-    instructions INTEGER NOT NULL DEFAULT 0,
-    meta TEXT,
-    created REAL NOT NULL,
-    last_access REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_traces_source ON traces (source_sha);
-"""
-
-
-class ResultStore:
-    """Durable get/put/get-or-compute over simulation results.
-
-    Thread-safe (one connection guarded by a lock) and safe across
-    processes (SQLite WAL + busy timeout; blob writes are atomic
-    renames). All methods are synchronous — the async server calls
-    them through an executor.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.blob_dir = self.root / "blobs"
-        self.blob_dir.mkdir(exist_ok=True)
-        self._lock = threading.Lock()
-        self._db = sqlite3.connect(str(self.root / "store.sqlite"),
-                                   timeout=30.0, check_same_thread=False)
-        self._db.executescript(_SCHEMA)
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            ("schema", str(STORE_SCHEMA_VERSION)))
-        self._db.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            self._db.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # keys
-    # ------------------------------------------------------------------
-    @staticmethod
-    def cell_key(benchmark: str, policy, instructions: int, warmup: int,
-                 seed: int = 1,
-                 config: Optional[MachineConfig] = None) -> str:
-        """The store key for a cell: exactly the result-cache run key.
-
-        One canonical digest (:func:`repro.utils.canonical_digest`)
-        identifies a cell everywhere — result-cache file, manifest
-        ``key`` column, store row — so artifacts from every subsystem
-        cross-reference by construction.
-        """
-        spec: PolicySpec = (get_policy(policy) if isinstance(policy, str)
-                            else policy)
-        return result_cache.run_key(benchmark, spec, instructions, warmup,
-                                    seed, config)
-
-    # ------------------------------------------------------------------
-    # blobs
-    # ------------------------------------------------------------------
-    def _blob_path(self, digest: str) -> Path:
-        return self.blob_dir / digest[:2] / (digest + ".json")
-
-    def _write_blob(self, payload) -> str:
-        """Write a JSON payload content-addressed; returns its digest."""
-        digest = canonical_digest(payload)
-        path = self._blob_path(digest)
-        if path.exists():  # identical content already stored
-            return digest
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".%d.tmp" % os.getpid())
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        tmp.replace(path)
-        return digest
-
-    def _read_blob(self, digest: str):
-        try:
-            with open(self._blob_path(digest)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    # ------------------------------------------------------------------
-    # get / put
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[SimulationStats]:
-        """Stats stored under ``key`` (None on miss); bumps LRU clock."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT stats_blob FROM results WHERE key = ?",
-                (key,)).fetchone()
-            if row is None:
-                return None
-            self._db.execute(
-                "UPDATE results SET last_access = ?, hits = hits + 1 "
-                "WHERE key = ?", (time.time(), key))
-            self._db.commit()
-        payload = self._read_blob(row[0])
-        if payload is None:
-            # torn/evicted blob: drop the dangling row, report a miss
-            with self._lock:
-                self._db.execute("DELETE FROM results WHERE key = ?",
-                                 (key,))
-                self._db.commit()
-            return None
-        return SimulationStats.from_dict(payload)
-
-    def get_telemetry(self, key: str) -> Optional[Dict[str, object]]:
-        """Telemetry dump stored with the cell (None if absent)."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT telemetry_blob FROM results WHERE key = ?",
-                (key,)).fetchone()
-        if row is None or row[0] is None:
-            return None
-        return self._read_blob(row[0])
-
-    def get_row(self, key: str) -> Optional[Dict[str, object]]:
-        """The index row (metadata, no payload) for ``key``."""
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT key, benchmark, policy, seed, instructions, warmup,"
-                " config_hash, code_version, stats_blob, telemetry_blob,"
-                " manifest, created, last_access, hits"
-                " FROM results WHERE key = ?", (key,))
-            row = cur.fetchone()
-            if row is None:
-                return None
-            names = [c[0] for c in cur.description]
-        out = dict(zip(names, row))
-        if out.get("manifest"):
-            out["manifest"] = json.loads(out["manifest"])
-        return out
-
-    def put(self, key: str, stats: SimulationStats,
-            meta: Optional[Dict[str, object]] = None,
-            telemetry: Optional[Dict[str, object]] = None) -> str:
-        """Persist a cell's stats (and optional telemetry) under ``key``.
-
-        ``meta`` is a manifest-row-shaped dict (benchmark, policy, seed,
-        instructions, warmup, config_hash, wall_time, worker, ...);
-        searchable columns are lifted out of it, the rest rides along as
-        JSON. Returns the stats payload's content digest.
-        """
-        meta = dict(meta or {})
-        stats_digest = self._write_blob(stats.to_dict())
-        telemetry_digest = (self._write_blob(telemetry)
-                            if telemetry is not None else None)
-        now = time.time()
-        with self._lock:
-            self._db.execute(
-                "INSERT INTO results (key, benchmark, policy, seed,"
-                " instructions, warmup, config_hash, code_version,"
-                " stats_blob, telemetry_blob, manifest, created,"
-                " last_access, hits)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)"
-                " ON CONFLICT(key) DO UPDATE SET"
-                " stats_blob = excluded.stats_blob,"
-                " telemetry_blob = COALESCE(excluded.telemetry_blob,"
-                "                           results.telemetry_blob),"
-                " manifest = excluded.manifest,"
-                " last_access = excluded.last_access",
-                (key, str(meta.get("benchmark", "")),
-                 str(meta.get("policy", "")),
-                 int(meta.get("seed", 0)),
-                 int(meta.get("instructions", 0)),
-                 int(meta.get("warmup", 0)),
-                 str(meta.get("config_hash", "")),
-                 int(meta.get("code_version", result_cache.RUN_KEY_VERSION)),
-                 stats_digest, telemetry_digest,
-                 json.dumps(meta, sort_keys=True), now, now))
-            self._db.commit()
-        return stats_digest
-
-    def get_or_compute(self, key: str,
-                       compute: Callable[[], SimulationStats],
-                       meta: Optional[Dict[str, object]] = None,
-                       ) -> Tuple[SimulationStats, bool]:
-        """``(stats, hit)``: load ``key``, or compute and persist it."""
-        stats = self.get(key)
-        if stats is not None:
-            return stats, True
-        stats = compute()
-        self.put(key, stats, meta=meta)
-        return stats, False
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT 1 FROM results WHERE key = ?", (key,)).fetchone()
-        return row is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            (n,) = self._db.execute(
-                "SELECT COUNT(*) FROM results").fetchone()
-        return int(n)
-
-    # ------------------------------------------------------------------
-    # trace blobs (ingested external workloads, PR 10)
-    # ------------------------------------------------------------------
-    # Traces are *inputs*, not results: rows are keyed by the blob's own
-    # content digest, never LRU-pruned (prune() touches only results),
-    # and their blobs are pinned against gc_blobs(). ``source_sha``
-    # fingerprints (source bytes, ingest parameters) so re-ingesting the
-    # same file is a pure index lookup — zero pipeline work.
-
-    def put_trace(self, payload: Dict[str, object], name: str = "",
-                  source_sha: str = "",
-                  meta: Optional[Dict[str, object]] = None
-                  ) -> Tuple[str, bool]:
-        """Store an ingested trace blob; ``(digest, created)``.
-
-        ``created`` is False when the digest was already indexed (the
-        blob write itself is always idempotent).
-        """
-        digest = self._write_blob(payload)
-        now = time.time()
-        with self._lock:
-            existed = self._db.execute(
-                "SELECT 1 FROM traces WHERE digest = ?",
-                (digest,)).fetchone() is not None
-            self._db.execute(
-                "INSERT INTO traces (digest, name, source_sha, events,"
-                " instructions, meta, created, last_access)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(digest) DO UPDATE SET"
-                " name = excluded.name,"
-                " source_sha = excluded.source_sha,"
-                " meta = excluded.meta,"
-                " last_access = excluded.last_access",
-                (digest, name, source_sha,
-                 int(len(payload.get("events", ()))),  # type: ignore[arg-type]
-                 int((meta or {}).get("instructions", 0)),
-                 json.dumps(meta or {}, sort_keys=True), now, now))
-            self._db.commit()
-        return digest, not existed
-
-    def get_trace(self, digest: str) -> Optional[Dict[str, object]]:
-        """Trace blob payload by digest (None on miss); bumps LRU clock."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT 1 FROM traces WHERE digest = ?",
-                (digest,)).fetchone()
-            if row is not None:
-                self._db.execute(
-                    "UPDATE traces SET last_access = ? WHERE digest = ?",
-                    (time.time(), digest))
-                self._db.commit()
-        if row is None:
-            return None
-        return self._read_blob(digest)
-
-    def find_trace(self, source_sha: Optional[str] = None,
-                   name: Optional[str] = None
-                   ) -> Optional[Dict[str, object]]:
-        """Newest trace row matching ``source_sha`` and/or ``name``."""
-        clauses, params = [], []
-        if source_sha is not None:
-            clauses.append("source_sha = ?")
-            params.append(source_sha)
-        if name is not None:
-            clauses.append("name = ?")
-            params.append(name)
-        if not clauses:
-            return None
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT digest, name, source_sha, events, instructions,"
-                " meta, created, last_access FROM traces WHERE "
-                + " AND ".join(clauses) + " ORDER BY created DESC LIMIT 1",
-                params)
-            row = cur.fetchone()
-            if row is None:
-                return None
-            names = [c[0] for c in cur.description]
-        out = dict(zip(names, row))
-        if out.get("meta"):
-            out["meta"] = json.loads(out["meta"])
-        return out
-
-    def list_traces(self) -> "list[Dict[str, object]]":
-        """All trace rows (metadata only), newest first."""
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT digest, name, source_sha, events, instructions,"
-                " created, last_access FROM traces ORDER BY created DESC")
-            names = [c[0] for c in cur.description]
-            rows = cur.fetchall()
-        return [dict(zip(names, row)) for row in rows]
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def info(self) -> Dict[str, object]:
-        """Row/blob counts and byte totals (the ``/healthz`` payload)."""
-        blobs = list(self.blob_dir.glob("*/*.json"))
-        with self._lock:
-            (rows,) = self._db.execute(
-                "SELECT COUNT(*) FROM results").fetchone()
-            (hits,) = self._db.execute(
-                "SELECT COALESCE(SUM(hits), 0) FROM results").fetchone()
-            (traces,) = self._db.execute(
-                "SELECT COUNT(*) FROM traces").fetchone()
-        return {
-            "root": str(self.root),
-            "schema": STORE_SCHEMA_VERSION,
-            "rows": int(rows),
-            "hits": int(hits),
-            "traces": int(traces),
-            "blobs": len(blobs),
-            "blob_bytes": sum(p.stat().st_size for p in blobs),
-        }
-
-    def prune(self, max_rows: Optional[int] = None,
-              max_age_s: Optional[float] = None) -> Dict[str, int]:
-        """Evict LRU rows beyond ``max_rows`` / older than ``max_age_s``.
-
-        Rows go first (oldest ``last_access`` first), then
-        :meth:`gc_blobs` removes payload files no surviving row
-        references. Returns ``{"rows": evicted, "blobs": collected}``.
-        """
-        evicted = 0
-        with self._lock:
-            if max_age_s is not None:
-                cutoff = time.time() - max_age_s
-                cur = self._db.execute(
-                    "DELETE FROM results WHERE last_access < ?", (cutoff,))
-                evicted += cur.rowcount
-            if max_rows is not None:
-                cur = self._db.execute(
-                    "DELETE FROM results WHERE key IN ("
-                    " SELECT key FROM results ORDER BY last_access DESC"
-                    " LIMIT -1 OFFSET ?)", (int(max_rows),))
-                evicted += cur.rowcount
-            self._db.commit()
-        return {"rows": evicted, "blobs": self.gc_blobs()}
-
-    def gc_blobs(self) -> int:
-        """Delete blob files referenced by no index row; returns count."""
-        with self._lock:
-            referenced = {d for (d,) in self._db.execute(
-                "SELECT stats_blob FROM results")}
-            referenced |= {d for (d,) in self._db.execute(
-                "SELECT telemetry_blob FROM results"
-                " WHERE telemetry_blob IS NOT NULL")}
-            # trace blobs are pinned: an ingested workload must survive
-            # result eviction, or every warm sweep over it re-ingests
-            referenced |= {d for (d,) in self._db.execute(
-                "SELECT digest FROM traces")}
-        removed = 0
-        for path in self.blob_dir.glob("*/*.json"):
-            if path.stem not in referenced:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass  # concurrent GC; already gone
-        return removed
-
-
-def store_from_env() -> Optional[ResultStore]:
-    """Open the store named by ``REPRO_STORE`` (None when unset).
-
-    The opt-in hook for batch mode: figure drivers and the experiment
-    helpers call this so ``repro figure --store DIR`` (which exports
-    the env var) transparently reads and writes the same store the job
-    server uses. ``repro bench`` never calls it — bench scores must
-    time real simulations.
-    """
-    root = os.environ.get(STORE_ENV, "").strip()
-    if not root:
-        return None
-    return ResultStore(root)
+__all__ = ["STORE_SCHEMA_VERSION", "ResultStore", "open_store"]

@@ -63,7 +63,7 @@ class CellRecord:
     seed: int
     instructions: int
     warmup: int
-    key: str            #: result-cache key of the cell
+    key: str            #: run key of the cell (its result-store key)
     config_hash: str
     cache_hit: bool
     wall_time: float    #: seconds simulating (0.0 on a cache hit)

@@ -9,10 +9,10 @@ simulation never mutates a layout, so sharing one object is safe.
 Grids are embarrassingly parallel: every cell is an independent
 simulation. :func:`run_suite_parallel` fans the cells of a grid out
 across a :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicates
-cells against the on-disk result cache (and against identical cells
-within the same grid) before dispatch, retries transient worker
-failures with bounded backoff, and emits a JSON run manifest
-(:mod:`repro.simulator.manifest`) recording per-cell wall time, cache
+cells against the result store (and against identical cells within the
+same grid) before dispatch, retries transient worker failures with
+bounded backoff, and emits a JSON run manifest
+(:mod:`repro.simulator.manifest`) recording per-cell wall time, store
 hit/miss, and worker id. :func:`run_suite` is the serial path — the
 same machinery with ``jobs=1`` — and produces bit-identical stats.
 
@@ -102,20 +102,16 @@ def run_benchmark(benchmark: str, policy: str,
                   store=None) -> SimulationStats:
     """Simulate one benchmark under one policy and return its stats.
 
-    Results are memoized on disk (see :mod:`repro.simulator.cache`);
-    pass ``use_cache=False`` to force a fresh simulation.
-
-    ``store`` is an optional durable result store — any object with the
-    ``get(key) -> stats`` / ``put(key, stats, meta=...)`` surface of
-    :class:`repro.service.store.ResultStore` (duck-typed so this layer
-    never imports the service). It is consulted after the local file
-    cache and written alongside it; a store hit also warms the local
-    cache so the next run skips the store round-trip.
+    Results are memoized in the result store (see
+    :mod:`repro.simulator.cache`): ``store``, or the default store
+    (:func:`~repro.simulator.cache.open_store`) when it is None. Pass
+    ``use_cache=False`` to force a fresh simulation; it is then written
+    only to a ``store`` passed in.
 
     ``telemetry`` (a :class:`repro.telemetry.TelemetrySession`) attaches
     a trace recorder for the duration of the run and harvests component
     counters at detach. A telemetry run always simulates (the recorder
-    needs the events), so the cache *read* is bypassed — the stats are
+    needs the events), so the store *read* is bypassed — the stats are
     bit-identical either way, so the result is still stored.
     """
     from repro.simulator import cache as result_cache
@@ -124,15 +120,12 @@ def run_benchmark(benchmark: str, policy: str,
     spec = get_policy(policy) if isinstance(policy, str) else policy
     key = result_cache.run_key(benchmark, spec, instructions, warmup, seed,
                                config)
+    if store is None and use_cache:
+        store = result_cache.open_store()
     if use_cache and telemetry is None:
-        hit = result_cache.load(key)
+        hit = store.get(key)
         if hit is not None:
             return hit
-        if store is not None:
-            hit = store.get(key)
-            if hit is not None:
-                result_cache.store(key, hit)
-                return hit
     layout = get_layout(benchmark, seed=seed)
     machine = build_machine(layout, profile, spec, config=config, seed=seed)
     if telemetry is not None:
@@ -142,8 +135,6 @@ def run_benchmark(benchmark: str, policy: str,
     finally:
         if telemetry is not None:
             telemetry.detach(machine)
-    if use_cache:
-        result_cache.store(key, stats)
     if store is not None:
         store.put(key, stats, meta={
             "benchmark": benchmark, "policy": spec.name, "seed": seed,
@@ -158,10 +149,10 @@ def run_benchmark(benchmark: str, policy: str,
 # ----------------------------------------------------------------------
 def _simulate_cell(cell: tuple
                    ) -> Tuple[SimulationStats, float, int, Optional[dict]]:
-    """Pool worker: simulate one cell, bypassing the on-disk cache.
+    """Pool worker: simulate one cell, bypassing the result store.
 
-    The parent already filtered cache hits and stores the result itself,
-    so workers never touch the cache (no concurrent writes).
+    The parent already filtered store hits and stores the result itself,
+    so workers never touch the store.
     ``cell`` is ``(benchmark, spec, instructions, warmup, config, seed)``.
 
     When ``REPRO_TELEMETRY`` is on, each cell records through its own
@@ -190,19 +181,14 @@ def _execute_cells(pending: Dict[str, tuple], jobs: int, retries: int,
                    ) -> Tuple[Dict[str, Tuple[SimulationStats, float, str,
                                               Optional[dict]]],
                               Dict[str, int], Dict[str, str]]:
-    """Run the cache-miss cells, in-process (``jobs==1``) or in a pool.
+    """Run the store-miss cells, in-process (``jobs==1``) or in a pool.
 
     Returns ``(results, attempts, errors)`` where ``results`` maps
     run-key to ``(stats, wall_time, worker_id, telemetry_summary)``.
     Cells that raised are retried up to ``retries`` extra rounds with
     doubling backoff (a fresh pool each round, so a broken pool is also
-    recovered); cells still failing land in ``errors``. Before a cell
-    is re-submitted, any partial ``<key>.*.tmp`` artifacts a crashed
-    worker left in the result cache are deleted — the retry must run
-    against a clean slate, not on top of a truncated temp file.
+    recovered); cells still failing land in ``errors``.
     """
-    from repro.simulator import cache as result_cache
-
     remaining = dict(pending)
     results: Dict[str, Tuple[SimulationStats, float, str, Optional[dict]]] = {}
     attempts: Dict[str, int] = {key: 0 for key in pending}
@@ -212,8 +198,6 @@ def _execute_cells(pending: Dict[str, tuple], jobs: int, retries: int,
             break
         if round_no:
             time.sleep(_BACKOFF_S * (2 ** (round_no - 1)))
-            for key in remaining:
-                result_cache.cleanup_stale_tmp(key)
         failed: Dict[str, tuple] = {}
         errors = {}
         if jobs <= 1:
@@ -267,25 +251,28 @@ def run_suite_parallel(policies: Sequence[str],
 
     Returns ``{benchmark: {policy: stats}}``, exactly like
     :func:`run_suite` and with field-identical stats. Before dispatch,
-    each cell's result-cache key is computed: cache hits are served from
-    disk, and duplicate cells inside the grid collapse to one
+    each cell's run key is looked up once in the result store: hits are
+    served from it, and duplicate cells inside the grid collapse to one
     simulation. Misses are fanned out across ``jobs`` worker processes
     (``jobs`` resolves via :func:`resolve_jobs`, default
     ``os.cpu_count()``); failed cells are retried up to ``retries``
     extra rounds with doubling backoff. Every run writes a JSON manifest
-    (per-cell timing, cache hit/miss, worker id, stats counter digest,
+    (per-cell timing, store hit/miss, worker id, stats counter digest,
     and — under ``REPRO_TELEMETRY=1`` — a per-cell telemetry summary;
     see :mod:`repro.simulator.manifest`); pass an explicit ``manifest``
     to accumulate several grids into one document, which the caller then
     writes. Two manifests compare cell-by-cell with ``repro diff``.
 
-    ``store`` is an optional durable result store (duck-typed — see
-    :func:`run_benchmark`): consulted for each cell after the local
-    file cache (hits appear in the manifest with worker ``store``) and
-    written with every freshly computed cell, so a sweep re-run against
-    the same store performs zero simulations.
+    ``store`` is the result store to use (None: the default store, see
+    :func:`~repro.simulator.cache.open_store`). Hits appear in the
+    manifest with worker ``store``; every freshly computed cell is
+    written to it once, so a re-run against the same store performs zero
+    simulations.
     """
     from repro.simulator import cache as result_cache
+
+    if store is None:
+        store = result_cache.open_store()
 
     names = (list(benchmarks) if benchmarks is not None
              else list(BENCHMARK_NAMES))
@@ -309,24 +296,15 @@ def run_suite_parallel(policies: Sequence[str],
             cells.setdefault(key, (bench, spec, instructions, warmup,
                                    config, seed))
 
-    # serve cache/store hits up front; only misses go to the workers
+    # serve store hits up front; only misses go to the workers
     hits: Dict[str, SimulationStats] = {}
-    hit_source: Dict[str, str] = {}
     pending: Dict[str, tuple] = {}
     for key, cell in cells.items():
-        cached = result_cache.load(key)
-        if cached is not None:
-            hits[key] = cached
-            hit_source[key] = "cache"
-            continue
-        if store is not None:
-            stored = store.get(key)
-            if stored is not None:
-                hits[key] = stored
-                hit_source[key] = "store"
-                result_cache.store(key, stored)  # warm the local cache
-                continue
-        pending[key] = cell
+        stored = store.get(key)
+        if stored is not None:
+            hits[key] = stored
+        else:
+            pending[key] = cell
 
     computed, attempts, errors = _execute_cells(pending, jobs, retries)
 
@@ -336,21 +314,19 @@ def run_suite_parallel(policies: Sequence[str],
         telemetry = None
         if key in hits:
             stats, wall, worker, status, error = (
-                hits[key], 0.0, hit_source[key], "ok", "")
+                hits[key], 0.0, "store", "ok", "")
             n_attempts = 0
         elif key in computed:
             stats, wall, worker, telemetry = computed[key]
             status, error = "ok", ""
             n_attempts = attempts[key]
-            result_cache.store(key, stats)
-            if store is not None:
-                store.put(key, stats, meta={
-                    "benchmark": bench, "policy": grid_slots[0][1],
-                    "seed": seed, "instructions": instructions,
-                    "warmup": warmup, "config_hash": cfg_hash,
-                    "wall_time": wall, "worker": worker,
-                    "attempts": n_attempts, "label": manifest.label,
-                }, telemetry=telemetry)
+            store.put(key, stats, meta={
+                "benchmark": bench, "policy": grid_slots[0][1],
+                "seed": seed, "instructions": instructions,
+                "warmup": warmup, "config_hash": cfg_hash,
+                "wall_time": wall, "worker": worker,
+                "attempts": n_attempts, "label": manifest.label,
+            }, telemetry=telemetry)
         else:
             stats, wall, worker = None, 0.0, "none"
             status, error = "failed", errors.get(key, "unknown")
@@ -398,7 +374,7 @@ def run_suite(policies: Sequence[str], benchmarks: Optional[Iterable[str]] = Non
     Returns ``{benchmark: {policy: stats}}``. The layout for each
     benchmark is generated once and reused across policies (see
     :func:`get_layout`). This is :func:`run_suite_parallel` with
-    ``jobs=1`` — same cache dedup, retry, and manifest behavior,
+    ``jobs=1`` — same store dedup, retry, and manifest behavior,
     bit-identical stats.
     """
     return run_suite_parallel(policies, benchmarks=benchmarks,

@@ -93,8 +93,7 @@ class SimulationStats:
         """Rebuild stats from a :meth:`to_dict` payload.
 
         Unknown keys are ignored, so dumps written by a newer schema
-        still load (the shared deserializer for the result cache and
-        the service store).
+        still load (the deserializer of the result store).
         """
         stats = cls()
         for name, value in data.items():

@@ -1,15 +1,12 @@
 """Incremental sweep executor: resolve warm cells, run only the dirty.
 
 Given a compiled :class:`~repro.sweeps.plan.SweepPlan`, the executor
-resolves every cell in three steps:
+resolves every cell in two steps:
 
-1. **store** — the durable :class:`ResultStore` is consulted *first*
-   (unlike the suite runner, which prefers the local file cache) so a
-   warm re-run is visible in the store's ``hits`` counter — that is the
-   observable the incremental-execution tests key on.
-2. **cache** — the per-machine result cache catches cells simulated
-   outside any store.
-3. **execute** — remaining misses are the *dirty set*. They run either
+1. **store** — each cell is looked up once in the
+   :class:`~repro.simulator.cache.ResultStore`, so a warm re-run is
+   visible in the store's ``hits`` counter.
+2. **execute** — the misses are the *dirty set*. They run either
    on a local process pool (the suite runner's own
    :func:`~repro.simulator.runner.execute_cells`, so pool/retry
    semantics — and therefore stats — are identical to
@@ -20,7 +17,7 @@ resolves every cell in three steps:
 Progress is durable: after every wave the executor rewrites the plan's
 *state file* (atomic temp+rename, keyed by the plan digest) recording
 per-cell outcomes, so an interrupted sweep resumes cheaply — completed
-cells resolve warm from the store/cache and the state file carries the
+cells resolve warm from the store and the state file carries the
 history for ``repro sweep status``. When a client is attached, the
 sweep also registers itself with the server's dashboard and posts
 aggregated per-(benchmark × policy) progress, so a million-cell sweep
@@ -78,8 +75,8 @@ class SweepReport:
 
     @property
     def counts(self) -> Dict[str, int]:
-        tally = {"total": self.total, "store": 0, "cache": 0,
-                 "executed": 0, "failed": 0}
+        tally = {"total": self.total, "store": 0, "executed": 0,
+                 "failed": 0}
         for _, source, _, _, _ in self.outcomes.values():
             tally[source] = tally.get(source, 0) + 1
         return tally
@@ -136,7 +133,7 @@ class SweepReport:
 # resumable state
 # ----------------------------------------------------------------------
 def sweep_state_path(plan: SweepPlan) -> Path:
-    """Default state location: content-addressed under the result cache.
+    """Default state location: content-addressed under the cache dir.
 
     Keying the file name by the plan digest makes resume automatic for
     an unchanged spec and inert for an edited one — a changed plan gets
@@ -230,22 +227,8 @@ class _DashFeed:
 # ----------------------------------------------------------------------
 # execution backends
 # ----------------------------------------------------------------------
-def _resolve_warm(cell: PlanCell, store, result_cache
-                  ) -> Tuple[Optional[str], Optional[SimulationStats]]:
-    """(source, stats) for a warm cell, (None, None) for a dirty one."""
-    if store is not None:
-        stats = store.get(cell.key)
-        if stats is not None:
-            result_cache.store(cell.key, stats)  # warm the local cache
-            return "store", stats
-    stats = result_cache.load(cell.key)
-    if stats is not None:
-        return "cache", stats
-    return None, None
-
-
 def _run_local(dirty: List[PlanCell], report: SweepReport, store,
-               result_cache, jobs: Optional[int], retries: int,
+               jobs: Optional[int], retries: int,
                feed: _DashFeed, checkpoint: Callable[[], None],
                verbose: bool) -> None:
     """Execute dirty cells on this machine's process pool, in waves."""
@@ -261,18 +244,16 @@ def _run_local(dirty: List[PlanCell], report: SweepReport, store,
         for cell in wave:
             if cell.key in computed:
                 stats, wall, worker, telemetry = computed[cell.key]
-                result_cache.store(cell.key, stats)
-                if store is not None:
-                    store.put(cell.key, stats, meta={
-                        "benchmark": cell.benchmark, "policy": cell.policy,
-                        "seed": cell.seed, "instructions": cell.instructions,
-                        "warmup": cell.warmup,
-                        "config_hash": config_hash(
-                            config_from_payload(cell.config)),
-                        "wall_time": wall, "worker": worker,
-                        "attempts": attempts[cell.key],
-                        "label": "sweep:%s" % report.name,
-                    }, telemetry=telemetry)
+                store.put(cell.key, stats, meta={
+                    "benchmark": cell.benchmark, "policy": cell.policy,
+                    "seed": cell.seed, "instructions": cell.instructions,
+                    "warmup": cell.warmup,
+                    "config_hash": config_hash(
+                        config_from_payload(cell.config)),
+                    "wall_time": wall, "worker": worker,
+                    "attempts": attempts[cell.key],
+                    "label": "sweep:%s" % report.name,
+                }, telemetry=telemetry)
                 report.record(cell, "executed", stats, wall_time=wall)
             else:
                 report.record(cell, "failed", None,
@@ -357,17 +338,21 @@ def run_sweep(plan: SweepPlan, store=None,
     ``client`` selects the backend: with one, misses are submitted to
     the running server/fleet (``max_in_flight`` outstanding at once) and
     the sweep appears on its dashboard; without, they run on a local
-    process pool of ``jobs`` workers. ``store`` is consulted before
+    process pool of ``jobs`` workers and are written to ``store``.
+    ``store`` (None: the default store, see
+    :func:`~repro.simulator.cache.open_store`) is consulted before
     anything else, so warm cells cost one index lookup and re-running an
     unchanged spec against a warm store performs **zero simulations**.
 
     ``state_path=None`` selects the content-addressed default under the
-    result cache (:func:`sweep_state_path`); pass ``state_path=""`` to
+    cache dir (:func:`sweep_state_path`); pass ``state_path=""`` to
     disable state entirely. ``report_path`` additionally writes the JSON
     report after the final cell.
     """
     from repro.simulator import cache as result_cache
 
+    if store is None:
+        store = result_cache.open_store()
     report = SweepReport(plan)
     state_file: Optional[Path] = None
     if state_path is None:
@@ -392,16 +377,15 @@ def run_sweep(plan: SweepPlan, store=None,
     feed = _DashFeed(client, plan)
     dirty: List[PlanCell] = []
     for cell in plan.cells:
-        source, stats = _resolve_warm(cell, store, result_cache)
-        if source is not None:
-            report.record(cell, source, stats)
+        stats = store.get(cell.key)
+        if stats is not None:
+            report.record(cell, "store", stats)
         else:
             dirty.append(cell)
     if verbose:
-        counts = report.counts
-        print("sweep %s: %d cells, %d warm (%d store / %d cache), %d dirty"
-              % (plan.name, counts["total"], counts["store"] + counts["cache"],
-                 counts["store"], counts["cache"], len(dirty)))
+        print("sweep %s: %d cells, %d warm (store), %d dirty"
+              % (plan.name, len(plan.cells), len(plan.cells) - len(dirty),
+                 len(dirty)))
     checkpoint()
     feed.push(report, force=True)
 
@@ -410,8 +394,8 @@ def run_sweep(plan: SweepPlan, store=None,
             _run_service(dirty, report, client, max_in_flight, feed,
                          checkpoint, verbose)
         else:
-            _run_local(dirty, report, store, result_cache, jobs, retries,
-                       feed, checkpoint, verbose)
+            _run_local(dirty, report, store, jobs, retries, feed,
+                       checkpoint, verbose)
         checkpoint()
     feed.push(report, state="failed" if report.failed else "done", force=True)
     if report_path:

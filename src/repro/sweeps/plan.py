@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.service.jobs import config_from_payload
-from repro.service.store import ResultStore
+from repro.simulator.cache import ResultStore
 from repro.sweeps.spec import ConfigVariant, SweepSpec
 from repro.utils import canonical_digest, freeze
 

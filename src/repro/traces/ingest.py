@@ -7,7 +7,7 @@ downsamples it to the instruction budget
 **blob payload** whose :func:`repro.utils.canonical_digest` is the
 trace's identity everywhere (store blob name, ``TraceProfile.
 trace_digest``, and therefore every run key computed over the
-benchmark), and records it in the :class:`~repro.service.store.
+benchmark), and records it in the :class:`~repro.simulator.cache.
 ResultStore` ``traces`` table.
 
 Warm re-ingest is free by construction: the pipeline fingerprints

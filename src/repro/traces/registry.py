@@ -30,7 +30,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.service.store import store_from_env
+from repro.service.store import open_store
 from repro.traces.downsample import DEFAULT_BUDGET, DEFAULT_WINDOW
 from repro.traces.ingest import IngestReport, load_workload
 from repro.traces.schema import TraceIngestError
@@ -77,7 +77,7 @@ def get_workload(name: str) -> TraceWorkload:
         path = spec.get("path")
         wl = load_workload(
             name, str(spec["digest"]),
-            store=store_from_env(),
+            store=open_store(),
             path=str(path) if path else None,
             fmt=str(spec.get("format", "auto")),
             budget=int(spec.get("budget", DEFAULT_BUDGET)),  # type: ignore[arg-type]

@@ -92,9 +92,9 @@ def freeze(obj):
 def canonical_digest(payload) -> str:
     """SHA-1 hex digest of the canonical JSON form of ``payload``.
 
-    The one hashing helper behind every identity in the repo: the
-    on-disk result-cache run key, the manifest config hash, and the
-    service store's cell key all reduce to this function, so a cell's
+    The one hashing helper behind every identity in the repo: the run
+    key (the result store's cell key) and the manifest config hash
+    both reduce to this function, so a cell's
     digest is stable across subsystems (and pinned by a golden test).
     """
     blob = json.dumps(freeze(payload), sort_keys=True).encode()

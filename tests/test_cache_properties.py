@@ -1,20 +1,19 @@
-"""Property-based tests (hypothesis) for the on-disk result cache.
+"""Property-based tests (hypothesis) for the result store.
 
 Key stability: the run key is a pure function of its inputs, and every
 field that determines a run's outcome (benchmark, policy, instruction
 budget, warmup, seed, machine config) perturbs it. Round-trip:
-``store``/``load`` preserves ``SimulationStats`` exactly.
+``ResultStore.put``/``get`` preserves ``SimulationStats`` exactly.
 """
 
 import dataclasses
-import os
 import tempfile
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator import cache as result_cache
+from repro.simulator.cache import ResultStore
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.stats import SimulationStats
@@ -28,24 +27,6 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 counters = st.integers(min_value=0, max_value=2**40)
 metric_floats = st.floats(allow_nan=False, allow_infinity=False,
                           width=32)
-
-
-@contextmanager
-def _isolated_cache():
-    """Point the cache at a throwaway dir (hypothesis-safe: no fixtures)."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_CACHE_DIR",
-                                            "REPRO_NO_CACHE")}
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        os.environ.pop("REPRO_NO_CACHE", None)
-        try:
-            yield
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
 
 
 class TestRunKeyProperties:
@@ -135,9 +116,9 @@ class TestStoreLoadRoundTrip:
         for name, value in fields.items():
             setattr(stats, name, value)
         stats.extra = dict(extra)
-        with _isolated_cache():
-            result_cache.store("prop-key", stats)
-            loaded = result_cache.load("prop-key")
+        with tempfile.TemporaryDirectory() as tmp, ResultStore(tmp) as store:
+            store.put("prop-key", stats)
+            loaded = store.get("prop-key")
         assert loaded is not None
         assert loaded.to_dict() == stats.to_dict()
         for name in _COUNTER_FIELDS:

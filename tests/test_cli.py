@@ -127,6 +127,25 @@ class TestCommands:
             key = ResultStore.cell_key("noop", "baseline", 4000, 800)
             assert store.get(key) is not None
 
+    def test_run_trace_benchmark_keeps_one_store(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from repro.service.store import ResultStore
+        from repro.simulator.runner import clear_layout_cache
+        from repro.traces import registry
+
+        # make the run resolve the trace blob, not a memoized layout
+        clear_layout_cache()
+        monkeypatch.delitem(registry._WORKLOADS, "trace-phase",
+                            raising=False)
+        root = tmp_path / "elsewhere"  # not <cache dir>/store
+        rc = main(["run", "trace-phase", "baseline", "--instructions",
+                   "4000", "--warmup", "800", "--store", str(root)])
+        assert rc == 0
+        with ResultStore(root) as store:
+            info = store.info()
+        # the cell and the trace blob behind its layout, in the one store
+        assert (info["rows"], info["traces"]) == (1, 1)
+
     def test_run_prefetcher_shows_ppki(self, capsys):
         main(["run", "noop", "pdip_44", "--instructions", "4000",
               "--warmup", "800", "--no-cache"])

@@ -104,8 +104,7 @@ class TestSweepCommands:
         assert main(["sweep", "status", spec_path, "--store", store,
                      "--format", "json"]) == 0
         after = json.loads(capsys.readouterr().out)
-        assert after["counts"] == {"store": 2, "cache": 0,
-                                   "failed": 0, "pending": 0}
+        assert after["counts"] == {"store": 2, "failed": 0, "pending": 0}
 
         assert main(["sweep", "run", spec_path, "--store", store,
                      "--jobs", "2", "--quiet", "--format", "json"]) == 0

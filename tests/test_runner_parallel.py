@@ -25,7 +25,7 @@ BENCHES = ["noop", "tatp"]
 @pytest.fixture
 def tmp_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
     return tmp_path
@@ -67,18 +67,18 @@ class TestResolveJobs:
 class TestEquivalence:
     def test_parallel_matches_serial_cold_and_warm(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
         serial = run_suite(POLICIES, benchmarks=BENCHES, **GRID)
 
-        # cold cache: every cell simulated in a worker process
+        # cold store: every cell simulated in a worker process
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "par"))
         cold = run_suite_parallel(POLICIES, benchmarks=BENCHES, jobs=2,
                                   **GRID)
         _assert_grids_identical(serial, cold)
 
-        # warm cache: every cell served from disk
+        # warm store: every cell served from it
         warm = run_suite_parallel(POLICIES, benchmarks=BENCHES, jobs=2,
                                   **GRID)
         _assert_grids_identical(serial, warm)
@@ -100,7 +100,6 @@ class TestLayoutMemoization:
 
     def test_suite_generates_layout_once_per_benchmark(self, tmp_cache,
                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
         clear_layout_cache()
         calls = []
         real = runner.generate_layout
@@ -195,7 +194,7 @@ class TestGridDedup:
         run_suite_parallel(POLICIES, benchmarks=["noop"], jobs=1,
                            manifest=manifest, **GRID)
         assert all(c.cache_hit for c in manifest.cells)
-        assert all(c.worker == "cache" for c in manifest.cells)
+        assert all(c.worker == "store" for c in manifest.cells)
 
 
 class TestParallelSpeedup:
@@ -204,7 +203,7 @@ class TestParallelSpeedup:
     def test_cold_grid_2x_faster_with_4_jobs(self, tmp_path, monkeypatch):
         import time
 
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
         grid = dict(instructions=30_000, warmup=6_000)
         benches = ["noop", "tatp", "voter", "smallbank"]

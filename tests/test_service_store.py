@@ -10,10 +10,11 @@ and the pinned golden-cell digest that locks the canonical cell key.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
-from repro.service.store import STORE_SCHEMA_VERSION, ResultStore, store_from_env
+from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 from repro.simulator import cache as result_cache
 from repro.simulator import runner as runner_mod
 from repro.simulator.config import MachineConfig
@@ -22,7 +23,7 @@ from repro.simulator.stats import SimulationStats
 
 #: canonical key of the golden cell pinned in tests/test_golden_stats.py
 #: (tatp / pdip_44 / seed 1 / 30000 instr / 6000 warmup). If this moves,
-#: every existing store and cache entry is invalidated — bump
+#: every existing store entry is invalidated — bump
 #: ``repro.simulator.cache.RUN_KEY_VERSION`` deliberately, never by
 #: accident.
 GOLDEN_CELL_KEY = "88832e4e37247b5fd87a9ad35e1bcf85b2559118"
@@ -50,9 +51,9 @@ def store(tmp_path):
 
 @pytest.fixture
 def no_local_cache(tmp_path, monkeypatch):
-    """Isolate + disable the file cache so only the store can hit."""
+    """Isolate the default store so only the store passed in can hit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
 
 
@@ -196,17 +197,38 @@ class TestMaintenance:
         assert store.get("k1") is not None or store.get("k2") is not None
 
 
-class TestStoreFromEnv:
-    def test_unset_returns_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert store_from_env() is None
+class TestOpenStore:
+    """Root resolution of the per-process default store."""
 
-    def test_set_opens_store(self, tmp_path, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+
+    def test_unset_env_roots_under_cache_dir(self, tmp_path):
+        s = result_cache.open_store()
+        assert s.root == tmp_path / "cache" / "store"
+        assert (s.root / "store.sqlite").exists()
+
+    def test_env_roots_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s"))
-        s = store_from_env()
-        assert s is not None
+        assert result_cache.open_store().root == tmp_path / "s"
         assert (tmp_path / "s" / "store.sqlite").exists()
-        s.close()
+
+    def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env"))
+        s = result_cache.open_store(tmp_path / "flag")
+        assert s.root == tmp_path / "flag"
+
+    def test_one_connection_per_root(self, tmp_path, monkeypatch):
+        first = result_cache.open_store()
+        assert result_cache.open_store() is first
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s"))
+        second = result_cache.open_store()
+        assert second is not first
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(first)  # the old root's connection was closed
+        assert result_cache.open_store() is second
 
 
 class TestRunnerIntegration:
@@ -221,9 +243,8 @@ class TestRunnerIntegration:
         def boom(*_args, **_kw):  # pragma: no cover - must not run
             raise AssertionError("second run must not simulate")
 
-        # REPRO_NO_CACHE=1 forces use_cache=False semantics for the file
-        # cache path only when callers pass use_cache=True; here we prove
-        # the *store* serves the re-run by making simulation impossible.
+        # prove the store serves the re-run by making simulation
+        # impossible
         from repro.simulator import policies as policies_mod
         original = policies_mod.build_machine
         policies_mod.build_machine = boom

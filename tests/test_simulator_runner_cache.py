@@ -1,11 +1,9 @@
-"""Tests for the suite runner and the on-disk result cache."""
-
-import os
+"""Tests for the suite runner and the default result store."""
 
 import pytest
 
 from repro.simulator import cache as result_cache
-from repro.simulator import runner as runner_mod
+from repro.simulator.cache import ResultStore
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import get_policy
 from repro.simulator.runner import run_benchmark, run_suite, speedup
@@ -16,7 +14,7 @@ from repro.utils import geomean
 @pytest.fixture
 def tmp_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     return tmp_path
 
 
@@ -72,72 +70,28 @@ class TestStoreLoad:
     def test_missing_key(self, tmp_cache):
         assert result_cache.load("nope") is None
 
-    def test_disabled_by_env(self, tmp_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        result_cache.store("xyz", SimulationStats())
-        assert result_cache.load("xyz") is None
-
 
 class TestRunBenchmark:
     def test_cache_hit_reproduces(self, tmp_cache):
         a = run_benchmark("noop", "baseline", instructions=3000, warmup=500)
-        files = list(tmp_cache.glob("*.json"))
-        assert len(files) == 1
+        store = result_cache.open_store()
+        assert (len(store), store.info()["hits"]) == (1, 0)
         b = run_benchmark("noop", "baseline", instructions=3000, warmup=500)
-        assert a.ipc == b.ipc
-        assert list(tmp_cache.glob("*.json")) == files
+        assert a.to_dict() == b.to_dict()
+        assert (len(store), store.info()["hits"]) == (1, 1)
+        assert not list(tmp_cache.rglob("*.tmp"))
 
     def test_no_cache_flag(self, tmp_cache):
         run_benchmark("noop", "baseline", instructions=2000, warmup=300,
                       use_cache=False)
-        assert not list(tmp_cache.glob("*.json"))
+        assert len(result_cache.open_store()) == 0
 
-
-class TestRetryTmpCleanup:
-    """A crashed worker's partial temp file must not survive into the
-    retry round (regression: a truncated ``<key>.<pid>.tmp`` could be
-    renamed over the real result by a later writer on the same pid)."""
-
-    def test_cleanup_stale_tmp_removes_only_matching_key(self, tmp_cache):
-        key = "deadbeef"
-        (tmp_cache / (key + ".123.tmp")).write_text('{"trunc')
-        (tmp_cache / (key + ".456.tmp")).write_text("")
-        other = tmp_cache / "cafef00d.123.tmp"
-        other.write_text("x")
-        assert result_cache.cleanup_stale_tmp(key) == 2
-        assert not list(tmp_cache.glob(key + ".*.tmp"))
-        assert other.exists()
-
-    def test_cleanup_missing_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "absent"))
-        assert result_cache.cleanup_stale_tmp("deadbeef") == 0
-
-    def test_retry_round_cleans_partial_artifacts(self, tmp_cache,
-                                                  monkeypatch):
-        spec = get_policy("baseline")
-        key = result_cache.run_key("noop", spec, 2000, 300, 1, None)
-        calls = {"n": 0}
-
-        def flaky(cell):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                # die mid-write, leaving a truncated temp file behind
-                (tmp_cache / (key + ".999.tmp")).write_text('{"cycles":')
-                raise RuntimeError("transient worker failure")
-            assert not list(tmp_cache.glob(key + ".*.tmp")), \
-                "retry ran against a dirty slate"
-            stats = SimulationStats()
-            stats.instructions, stats.cycles = 2000, 100
-            return stats, 0.0, os.getpid(), None
-
-        monkeypatch.setattr(runner_mod, "_simulate_cell", flaky)
-        monkeypatch.setattr(runner_mod, "_BACKOFF_S", 0.01)
-        results = runner_mod.run_suite_parallel(
-            ["baseline"], benchmarks=["noop"], instructions=2000,
-            warmup=300, jobs=1, retries=2)
-        assert calls["n"] == 2
-        assert results["noop"]["baseline"].cycles == 100
-        assert not list(tmp_cache.glob(key + ".*.tmp"))
+    def test_no_cache_writes_only_a_store_passed_in(self, tmp_cache):
+        with ResultStore(tmp_cache / "other") as other:
+            run_benchmark("noop", "baseline", instructions=2000, warmup=300,
+                          use_cache=False, store=other)
+            assert len(other) == 1
+        assert len(result_cache.open_store()) == 0
 
 
 class TestSuite:

@@ -40,8 +40,9 @@ SPEC = {
 
 @pytest.fixture
 def sandbox(tmp_path, monkeypatch):
-    """Isolated result cache + manifest-free runs; returns a fresh store."""
+    """Isolated default store + manifest-free runs; returns a fresh store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     return ResultStore(tmp_path / "store")
@@ -58,7 +59,7 @@ class TestIncremental:
     def test_cold_run_executes_everything(self, sandbox):
         plan = plan_for()
         report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
-        assert report.counts == {"total": 4, "store": 0, "cache": 0,
+        assert report.counts == {"total": 4, "store": 0,
                                  "executed": 4, "failed": 0}
         # every cell landed in the store under its plan key
         for cell in plan.cells:
@@ -72,27 +73,22 @@ class TestIncremental:
 
         report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
 
-        assert report.counts == {"total": 4, "store": 4, "cache": 0,
+        assert report.counts == {"total": 4, "store": 4,
                                  "executed": 0, "failed": 0}
         after = sandbox.info()
         assert after["hits"] == before["hits"] + len(plan.cells)
         assert after["rows"] == before["rows"]  # nothing new computed
 
-    def test_store_checked_before_local_cache(self, sandbox):
-        # Both layers are warm after a run; the store must win so the
-        # hit counter stays an accurate zero-simulation witness.
+    def test_store_none_resolves_from_the_default_store(self, sandbox):
         plan = plan_for()
-        run_sweep(plan, store=sandbox, jobs=2, state_path="")
-        report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
-        assert report.counts["store"] == 4
-        assert report.counts["cache"] == 0
-
-    def test_cache_resolves_without_a_store(self, sandbox):
-        plan = plan_for()
-        run_sweep(plan, store=sandbox, jobs=2, state_path="")
+        run_sweep(plan, store=None, jobs=2, state_path="")
+        default = result_cache.open_store()
+        assert all(cell.key in default for cell in plan.cells)
+        assert len(sandbox) == 0  # only the store in use is written
         report = run_sweep(plan, store=None, jobs=2, state_path="")
-        assert report.counts == {"total": 4, "store": 0, "cache": 4,
+        assert report.counts == {"total": 4, "store": 4,
                                  "executed": 0, "failed": 0}
+        assert default.info()["hits"] == len(plan.cells)
 
     def test_config_edit_reexecutes_exactly_dirty_cells(self, sandbox):
         base = plan_for()
@@ -108,7 +104,7 @@ class TestIncremental:
         report = run_sweep(edited, store=sandbox, jobs=2, state_path="")
 
         # the 4 default-config cells are warm; only the 4 new-key cells ran
-        assert report.counts == {"total": 8, "store": 4, "cache": 0,
+        assert report.counts == {"total": 8, "store": 4,
                                  "executed": 4, "failed": 0}
         for key, (cell, source, _, _, _) in report.outcomes.items():
             expected = "store" if cell.config_label == "default" else "executed"
