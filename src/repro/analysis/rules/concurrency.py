@@ -21,9 +21,9 @@ exposed to, using the project call graph
   the initializer writes into the *parent's* wakeup pipe and triggers a
   spurious drain (the PR-6 bug, enforced forever).
 * ``route-conformance`` — the hand-framed HTTP protocol cannot drift:
-  every route a client sends (``ServiceClient``, coordinator->worker,
-  worker->coordinator) must match a handler shape in the corresponding
-  ``_route`` dispatcher, and every handler shape must have a sender.
+  every route ``ServiceClient`` sends must match a handler shape in
+  ``SimulationServer._route``, and every handler shape must have a
+  sender.
   Handler shapes are recovered by walking the ``_route`` ``if`` chains
   symbolically (``parts == [...]``, ``parts[i] == "lit"``,
   ``len(parts) >= n``, ``method == "X"``); dynamic path segments match
@@ -405,28 +405,15 @@ def _string_list(node: ast.expr) -> Optional[List[str]]:
     return out
 
 
-def _is_super_route_call(node: ast.expr) -> bool:
-    if isinstance(node, ast.Await):
-        node = node.value
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_route"
-            and isinstance(node.func.value, ast.Call)
-            and isinstance(node.func.value.func, ast.Name)
-            and node.func.value.func.id == "super")
-
-
 _RouteDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
-def _collect_shapes(fn: _RouteDef) -> Tuple[Dict[_Shape, int], bool]:
-    """Shapes a ``_route`` dispatcher answers, and whether it delegates
-    to ``super()._route``. A shape is recorded at a ``return`` whose
-    path constraints pin an exact segment count and a single method;
-    unconstrained returns (404 fallthroughs) yield nothing."""
+def _collect_shapes(fn: _RouteDef) -> Dict[_Shape, int]:
+    """Shapes a ``_route`` dispatcher answers. A shape is recorded at a
+    ``return`` whose path constraints pin an exact segment count and a
+    single method; unconstrained returns (404 fallthroughs) yield
+    nothing."""
     shapes: Dict[_Shape, int] = {}
-    delegates = any(_is_super_route_call(node) for node in ast.walk(fn)
-                    if isinstance(node, ast.expr))
 
     def walk(stmts: Sequence[ast.stmt], env: _RouteEnv) -> None:
         for stmt in stmts:
@@ -436,9 +423,6 @@ def _collect_shapes(fn: _RouteDef) -> Tuple[Dict[_Shape, int], bool]:
                 walk(stmt.body, child)
                 walk(stmt.orelse, env)
             elif isinstance(stmt, ast.Return):
-                if stmt.value is not None \
-                        and _is_super_route_call(stmt.value):
-                    continue
                 if env.method is None or env.length is None:
                     continue
                 if env.length < env.minlen:
@@ -456,7 +440,7 @@ def _collect_shapes(fn: _RouteDef) -> Tuple[Dict[_Shape, int], bool]:
                 walk(stmt.finalbody, env.copy())
 
     walk(fn.body, _RouteEnv())
-    return shapes, delegates
+    return shapes
 
 
 #: one ``%`` conversion spec: key, flags, width, precision, type
@@ -524,16 +508,15 @@ class _Send:
 
 
 class _Dispatch:
-    """One server-side ``_route`` dispatcher's recovered shapes."""
+    """The server's ``_route`` dispatcher and its recovered shapes."""
 
-    __slots__ = ("module", "cls", "shapes", "delegates")
+    __slots__ = ("module", "cls", "shapes")
 
     def __init__(self, module: ModuleInfo, cls: str,
-                 shapes: Dict[_Shape, int], delegates: bool):
+                 shapes: Dict[_Shape, int]):
         self.module = module
         self.cls = cls
         self.shapes = shapes
-        self.delegates = delegates
 
 
 class RouteConformanceRule(Rule):
@@ -544,65 +527,27 @@ class RouteConformanceRule(Rule):
                    "handler shape, and every handler shape a sender")
     scope = "project"
 
-    #: (module suffix, dispatcher class) pairs this project serves from
-    _DISPATCHERS = (
-        ("service.server", "SimulationServer"),
-        ("service.cluster", "Coordinator"),
-        ("service.cluster", "WorkerNode"),
-    )
-
     def check_project(self, project: Project) -> Iterable[Finding]:
-        dispatchers = self._find_dispatchers(project)
-        client_sends = self._client_sends(project)
-        coord_sends, worker_sends = self._cluster_sends(project)
-
-        # direction 1: every send matches some handler shape
-        yield from self._check_sends(
-            client_sends, [dispatchers.get("SimulationServer"),
-                           dispatchers.get("Coordinator")])
-        yield from self._check_sends(
-            coord_sends, [dispatchers.get("WorkerNode")])
-        yield from self._check_sends(
-            worker_sends, [dispatchers.get("Coordinator"),
-                           dispatchers.get("SimulationServer")])
-
-        # direction 2: every handler shape has a sender
-        server_senders: List[List[_Send]] = []
-        if client_sends is not None:
-            server_senders.append(client_sends)
-        if worker_sends is not None:
-            server_senders.append(worker_sends)
-        yield from self._check_handlers(
-            dispatchers.get("SimulationServer"), server_senders)
-        yield from self._check_handlers(
-            dispatchers.get("Coordinator"), server_senders)
-        yield from self._check_handlers(
-            dispatchers.get("WorkerNode"),
-            [coord_sends] if coord_sends is not None else [])
+        dispatch = self._find_dispatcher(project)
+        sends = self._client_sends(project)
+        if dispatch is None or sends is None:
+            return
+        yield from self._check_sends(sends, dispatch)
+        yield from self._check_handlers(dispatch, sends)
 
     # -- extraction ----------------------------------------------------
-    def _find_dispatchers(
-        self, project: Project
-    ) -> Dict[str, _Dispatch]:
-        out: Dict[str, _Dispatch] = {}
-        for suffix, cls_name in self._DISPATCHERS:
-            module = project.get_by_suffix(suffix)
-            if module is None:
-                continue
-            cls = find_class(module.tree, cls_name)
-            if cls is None:
-                continue
-            route = None
-            for item in cls.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and item.name == "_route":
-                    route = item
-                    break
-            if route is None:
-                continue
-            shapes, delegates = _collect_shapes(route)
-            out[cls_name] = _Dispatch(module, cls_name, shapes, delegates)
-        return out
+    def _find_dispatcher(self, project: Project) -> Optional[_Dispatch]:
+        module = project.get_by_suffix("service.server")
+        if module is None:
+            return None
+        cls = find_class(module.tree, "SimulationServer")
+        if cls is None:
+            return None
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and item.name == "_route":
+                return _Dispatch(module, cls.name, _collect_shapes(item))
+        return None
 
     def _client_sends(self, project: Project) -> Optional[List[_Send]]:
         module = project.get_by_suffix("service.client")
@@ -629,64 +574,23 @@ class RouteConformanceRule(Rule):
                                (method.value, segments)))
         return sends
 
-    def _cluster_sends(
-        self, project: Project
-    ) -> Tuple[Optional[List[_Send]], Optional[List[_Send]]]:
-        module = project.get_by_suffix("service.cluster")
-        if module is None:
-            return None, None
-        groups: Dict[str, List[_Send]] = {"Coordinator": [],
-                                          "WorkerNode": []}
-        for cls_name, sends in groups.items():
-            cls = find_class(module.tree, cls_name)
-            if cls is None:
-                continue
-            for node in ast.walk(cls):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not (isinstance(node.func, ast.Name)
-                        and node.func.id == "_http_json"):
-                    continue
-                if len(node.args) < 4:
-                    continue
-                method = node.args[2]
-                if not (isinstance(method, ast.Constant)
-                        and isinstance(method.value, str)):
-                    continue
-                segments = _path_segments(node.args[3])
-                if segments is None:
-                    continue
-                sends.append(_Send(module, node.lineno,
-                                   (method.value, segments)))
-        return groups["Coordinator"], groups["WorkerNode"]
-
     # -- checks --------------------------------------------------------
-    def _check_sends(
-        self,
-        sends: Optional[List[_Send]],
-        dispatchers: Sequence[Optional[_Dispatch]],
-    ) -> Iterable[Finding]:
-        targets = [d for d in dispatchers if d is not None]
-        if sends is None or not targets:
-            return
-        names = "/".join("%s._route" % d.cls for d in targets)
+    def _check_sends(self, sends: List[_Send],
+                     dispatch: _Dispatch) -> Iterable[Finding]:
+        """Direction 1: every send matches some handler shape."""
         for send in sends:
             if any(_shape_matches(send.shape, shape)
-                   for d in targets for shape in d.shapes):
+                   for shape in dispatch.shapes):
                 continue
             yield self.finding(
                 send.module, send.line,
-                "client sends %s but no handler shape in %s matches "
-                "(protocol drift?)" % (_render(send.shape), names))
+                "client sends %s but no handler shape in %s._route "
+                "matches (protocol drift?)"
+                % (_render(send.shape), dispatch.cls))
 
-    def _check_handlers(
-        self,
-        dispatch: Optional[_Dispatch],
-        sender_groups: Sequence[List[_Send]],
-    ) -> Iterable[Finding]:
-        if dispatch is None or not sender_groups:
-            return
-        sends = [send for group in sender_groups for send in group]
+    def _check_handlers(self, dispatch: _Dispatch,
+                        sends: List[_Send]) -> Iterable[Finding]:
+        """Direction 2: every handler shape has a sender."""
         for shape in sorted(dispatch.shapes):
             if any(_shape_matches(send.shape, shape) for send in sends):
                 continue

@@ -26,16 +26,11 @@ Commands:
 * ``lint`` — run the AST determinism/architecture rules
   (see :mod:`repro.analysis`);
 * ``serve`` — run the simulation job server (priority queue, worker
-  pool, durable result store; see :mod:`repro.service`), or with
-  ``--coordinator`` the cluster scheduler that dispatches to
-  registered workers (see :mod:`repro.service.cluster`);
-* ``worker`` — join a coordinator as a cluster worker (an execute
-  endpoint plus one shard of the content-addressed store);
+  pool, durable result store; see :mod:`repro.service`);
 * ``submit`` — submit one cell to a running server (``--wait`` blocks
   for the result);
-* ``jobs`` — list/inspect/cancel server jobs, ``--drain`` it,
-  ``--workers`` to list a coordinator's fleet, or ``--watch SECONDS``
-  to poll and redraw until Ctrl-C;
+* ``jobs`` — list/inspect/cancel server jobs, ``--drain`` it, or
+  ``--watch SECONDS`` to poll and redraw until Ctrl-C;
 * ``sweep`` — compile (``plan``), execute (``run``), or resolve
   (``status``) a declarative TOML/JSON sweep spec against the result
   store, a local pool, or a running server (see :mod:`repro.sweeps`);
@@ -284,17 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "env, else <cache dir>/store)")
     p_serve.add_argument("--no-store", action="store_true",
                          help="run without durable persistence")
-    p_serve.add_argument("--coordinator", action="store_true",
-                         help="cluster mode: dispatch to registered "
-                              "'repro worker' processes instead of a "
-                              "local pool (see repro.service.cluster)")
-    p_serve.add_argument("--heartbeat-interval", type=float, default=None,
-                         help="coordinator mode: seconds between worker "
-                              "heartbeats (default 1.0)")
-    p_serve.add_argument("--heartbeat-timeout", type=float, default=None,
-                         help="coordinator mode: heartbeat silence after "
-                              "which a worker is declared dead and its "
-                              "jobs retried elsewhere (default 5.0)")
     p_serve.add_argument("--allow-faults", action="store_true",
                          help="accept fault-injection jobs (failure-mode "
                               "tests and CI only)")
@@ -316,29 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--wait-timeout", type=float, default=None,
                           help="give up waiting after this many seconds")
 
-    p_worker = sub.add_parser(
-        "worker", help="join a coordinator as a cluster worker")
-    p_worker.add_argument("--coordinator-host", default="127.0.0.1",
-                          help="coordinator address (default 127.0.0.1)")
-    p_worker.add_argument("--coordinator-port", type=int, default=None,
-                          help="coordinator port (default 8642)")
-    p_worker.add_argument("--host", default="127.0.0.1",
-                          help="address this worker listens on "
-                               "(default 127.0.0.1)")
-    p_worker.add_argument("--port", type=int, default=0,
-                          help="worker listen port (default: ephemeral)")
-    p_worker.add_argument("--slots", type=int, default=1,
-                          help="concurrent simulation slots (default 1)")
-    p_worker.add_argument("--name", default=None,
-                          help="stable worker name on the shard ring "
-                               "(default: random)")
-    p_worker.add_argument("--store", default=None, metavar="DIR",
-                          help="this worker's store shard (default: "
-                               "<cache>/shards/<name>)")
-    p_worker.add_argument("--no-store", action="store_true",
-                          help="run without a store shard (results are "
-                               "never persisted on this worker)")
-
     p_jobs = sub.add_parser(
         "jobs", help="list or manage jobs on a running server")
     p_jobs.add_argument("job", nargs="?", default=None,
@@ -347,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cancel a queued or running job")
     p_jobs.add_argument("--drain", action="store_true",
                         help="ask the server to drain and exit")
-    p_jobs.add_argument("--workers", action="store_true",
-                        help="list the registered cluster workers "
-                             "(coordinator mode)")
     p_jobs.add_argument("--watch", type=float, default=None,
                         metavar="SECONDS",
                         help="poll and redraw every SECONDS until Ctrl-C")
@@ -735,28 +693,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import server as service_server
     from repro.simulator.cache import store_root
 
-    if args.coordinator:
-        from repro.service import cluster
-
-        return cluster.serve_coordinator(
-            host=args.host,
-            port=(args.port if args.port is not None
-                  else service_server.DEFAULT_PORT),
-            queue_limit=(args.queue_limit if args.queue_limit is not None
-                         else service_server.DEFAULT_QUEUE_LIMIT),
-            timeout=args.timeout,
-            retries=(args.retries if args.retries is not None
-                     else service_server.DEFAULT_RETRIES),
-            backoff=(args.backoff if args.backoff is not None
-                     else service_server.DEFAULT_BACKOFF_S),
-            allow_faults=args.allow_faults,
-            heartbeat_interval=(args.heartbeat_interval
-                                if args.heartbeat_interval is not None
-                                else cluster.DEFAULT_HEARTBEAT_INTERVAL),
-            heartbeat_timeout=(args.heartbeat_timeout
-                               if args.heartbeat_timeout is not None
-                               else cluster.DEFAULT_HEARTBEAT_TIMEOUT))
-
     return service_server.serve(
         host=args.host,
         port=(args.port if args.port is not None
@@ -771,31 +707,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backoff=(args.backoff if args.backoff is not None
                  else service_server.DEFAULT_BACKOFF_S),
         allow_faults=args.allow_faults)
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    """``repro worker``: join a coordinator as a cluster worker."""
-    from repro.service import cluster
-    from repro.service.server import DEFAULT_PORT
-    from repro.simulator import cache as result_cache
-
-    name = args.name
-    store_root = None
-    if not args.no_store:
-        if args.store:
-            store_root = args.store
-        else:
-            import uuid
-
-            name = name or ("w-" + uuid.uuid4().hex[:8])
-            store_root = str(result_cache.cache_dir() / "shards" / name)
-    return cluster.run_worker(
-        coordinator_host=args.coordinator_host,
-        coordinator_port=(args.coordinator_port
-                          if args.coordinator_port is not None
-                          else DEFAULT_PORT),
-        host=args.host, port=args.port, slots=args.slots,
-        store_root=store_root, name=name)
 
 
 def _client(args: argparse.Namespace):
@@ -892,15 +803,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     if args.watch is not None:
         return _watch_jobs(client, args.watch)
     try:
-        if args.workers:
-            for worker in client.workers():
-                print(f"  {worker['id']:16s} {worker['state']:6s} "
-                      f"{worker['host']}:{worker['port']} "
-                      f"slots={worker['slots']} "
-                      f"executed={worker['executed']} "
-                      f"stolen={worker['stolen']} "
-                      f"in_flight={len(worker['in_flight'])}")
-            return 0
         if args.drain:
             client.drain()
             print("drain requested")
@@ -1037,13 +939,9 @@ def cmd_dash(args: argparse.Namespace) -> int:
         return 1
     server = state.get("server") or {}
     jobs = state.get("jobs") or {}
-    print(f"{server.get('mode', 'server')} {server.get('state', '?')}: "
+    print(f"server {server.get('state', '?')}: "
           f"{jobs.get('queued', 0)} queued, {jobs.get('running', 0)} "
           f"running, {jobs.get('total', 0)} jobs")
-    workers = state.get("workers")
-    if workers is not None:
-        alive = sum(1 for w in workers if w.get("state") == "alive")
-        print(f"workers: {alive}/{len(workers)} alive")
     for sweep in state.get("sweeps") or []:
         counts = sweep.get("counts") or {}
         done = counts.get("store", 0) + counts.get("executed", 0)
@@ -1089,7 +987,6 @@ COMMANDS = {
     "diff": cmd_diff,
     "lint": cmd_lint,
     "serve": cmd_serve,
-    "worker": cmd_worker,
     "submit": cmd_submit,
     "jobs": cmd_jobs,
     "sweep": cmd_sweep,

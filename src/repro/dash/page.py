@@ -1,9 +1,9 @@
 """The dashboard page: one static, stdlib-only HTML document.
 
-Served verbatim from ``GET /dash`` by the simulation server and the
-coordinator; all live data arrives by polling ``GET /dash/state`` from
-inline JavaScript, so the page itself is a constant string — no
-templating, no assets, no third-party scripts.
+Served verbatim from ``GET /dash`` by the simulation server; all live
+data arrives by polling ``GET /dash/state`` from inline JavaScript, so
+the page itself is a constant string — no templating, no assets, no
+third-party scripts.
 
 Visual language (kept deliberately boring and accessible):
 
@@ -96,13 +96,11 @@ thead th { border-top: none; color: var(--muted); font-size: 11px;
 </style>
 </head>
 <body>
-<h1>repro dash <span id="mode" class="badge">connecting…</span></h1>
+<h1>repro dash <span id="state" class="badge">connecting…</span></h1>
 <div class="sub" id="meta">waiting for /dash/state</div>
 <div id="err"></div>
 <div class="tiles" id="tiles"></div>
 <div id="sweeps-h"><h2>Sweeps</h2><div id="sweeps"></div></div>
-<div id="workers-h" style="display:none"><h2>Workers</h2>
-  <table id="workers"></table></div>
 <h2>Jobs</h2><table id="jobs"></table>
 <h2>Metrics</h2><table id="metrics"></table>
 <script>
@@ -166,34 +164,22 @@ function sweepCard(sw) {
 }
 function render(s) {
   const server = s.server || {};
-  document.getElementById("mode").textContent =
-    (server.mode || "server") + " · " + (server.state || "?");
-  document.getElementById("mode").className =
+  document.getElementById("state").textContent =
+    "server · " + (server.state || "?");
+  document.getElementById("state").className =
     "badge " + (server.state === "running" ? "ok" : "");
   document.getElementById("meta").textContent =
     "generated " + new Date(s.generated * 1000).toLocaleTimeString() +
     (s.store ? " · store " + s.store.rows + " rows / " +
                s.store.hits + " hits" : " · no store");
   const c = s.counters || {}, jobs = s.jobs || {};
-  let tiles = tile("queued", jobs.queued || 0) +
-              tile("running", jobs.running || 0) +
-              tile("executed", c.executed || 0) +
-              tile("store hits", c.store_hits || 0);
-  if (s.workers) tiles += tile("workers", s.workers.length);
-  document.getElementById("tiles").innerHTML = tiles;
+  document.getElementById("tiles").innerHTML =
+    tile("queued", jobs.queued || 0) + tile("running", jobs.running || 0) +
+    tile("executed", c.executed || 0) +
+    tile("store hits", c.store_hits || 0);
   document.getElementById("sweeps").innerHTML =
     (s.sweeps || []).map(sweepCard).join("") ||
     '<div class="sub">no sweeps registered</div>';
-  const wh = document.getElementById("workers-h");
-  if (s.workers) {
-    wh.style.display = "";
-    rows(document.getElementById("workers"),
-      ["worker", "state", "slots", "in flight", "executed", "stolen"],
-      s.workers.map(w => [esc(w.id), esc(w.state), esc(w.slots),
-        esc((w.in_flight || []).length),
-        esc(w.executed != null ? w.executed : "-"),
-        esc(w.stolen != null ? w.stolen : "-")]));
-  } else wh.style.display = "none";
   const act = (jobs.active || []), rec = (jobs.recent || []);
   rows(document.getElementById("jobs"),
     ["id", "state", "benchmark", "policy", "seed", "source"],

@@ -44,7 +44,6 @@ def build_state(server: Dict[str, Any], counters: Dict[str, int],
                 gauges: Dict[str, float],
                 sweeps: Dict[str, Dict[str, Any]],
                 jobs: List[Dict[str, Any]],
-                workers: Optional[List[Dict[str, Any]]] = None,
                 store: Optional[Dict[str, Any]] = None,
                 recent_jobs: int = 20) -> Dict[str, Any]:
     """The ``GET /dash/state`` payload: everything the page renders.
@@ -70,6 +69,5 @@ def build_state(server: Dict[str, Any], counters: Dict[str, int],
             "active": active,
             "recent": finished[:recent_jobs],
         },
-        "workers": workers,
         "store": store,
     }

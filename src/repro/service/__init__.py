@@ -13,12 +13,7 @@ The serving layer above the parallel suite runner (DESIGN.md §13):
 * :mod:`repro.service.client` — the stdlib-only HTTP client behind
   ``repro submit`` / ``repro jobs``;
 * :mod:`repro.service.jobs` — the job model and the picklable worker
-  entry point;
-* :mod:`repro.service.cluster` — the scale-out layer: a coordinator
-  (``repro serve --coordinator``) that dispatches cells to registered
-  ``repro worker`` processes with heartbeat liveness, consistent-hash
-  sharding of the store by run digest, work stealing, and
-  retry-on-another-worker when a worker is lost mid-job.
+  entry point.
 
 Layering: ``service`` sits above ``simulator`` (it reuses the runner
 internals and the result store) and below nothing — no simulation
@@ -26,30 +21,18 @@ or model code may import it (enforced by ``repro lint``).
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.cluster import (
-    Coordinator,
-    HashRing,
-    WorkerNode,
-    run_worker,
-    serve_coordinator,
-)
 from repro.service.jobs import Job, JobState, execute_cell
 from repro.service.server import DEFAULT_PORT, SimulationServer, serve
 from repro.service.store import ResultStore
 
 __all__ = [
     "DEFAULT_PORT",
-    "Coordinator",
-    "HashRing",
     "Job",
     "JobState",
     "ResultStore",
     "ServiceClient",
     "ServiceError",
     "SimulationServer",
-    "WorkerNode",
     "execute_cell",
-    "run_worker",
     "serve",
-    "serve_coordinator",
 ]

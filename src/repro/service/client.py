@@ -154,10 +154,6 @@ class ServiceClient:
                 delay = float(exc.payload.get("retry_after_s", 1.0))
                 time.sleep(min(max(delay, 0.0), self.MAX_RETRY_AFTER_S))
 
-    def workers(self) -> List[Dict[str, object]]:
-        """Registered cluster workers (coordinator mode; 404 otherwise)."""
-        return self._checked("GET", "/workers")["workers"]
-
     def jobs(self) -> List[Dict[str, object]]:
         return self._checked("GET", "/jobs")["jobs"]
 

@@ -59,7 +59,6 @@ class Job:
     attempts: int = 0
     error: str = ""
     source: str = ""            #: "store" | "worker" once DONE
-    worker: str = ""            #: cluster worker id executing this job
     cancel_requested: bool = False
     submitted: float = 0.0
     started: float = 0.0

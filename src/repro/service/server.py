@@ -43,7 +43,8 @@ attempts of :func:`repro.service.jobs.execute_cell` in the process
 pool. A timeout or a crashed worker (``BrokenProcessPool``) resets the
 pool — surviving tasks are unaffected because each attempt holds its
 own future — and the job retries with doubling backoff until the retry
-budget is spent, then reports ``failed`` with the last error.
+budget is spent, then reports ``failed`` with the last error. A store
+write that fails (a full disk, a SQLite error) fails the job at once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import asyncio
 import heapq
 import json
 import signal
+import sqlite3
 import time
 import urllib.parse
 import uuid
@@ -137,24 +139,10 @@ class SimulationServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _make_pool(self) -> Optional[ProcessPoolExecutor]:
-        """Execution backend hook: the local process pool.
-
-        :class:`~repro.service.cluster.Coordinator` overrides this to
-        return ``None`` — a coordinator never simulates locally, it
-        dispatches to registered workers.
-        """
+    def _make_pool(self) -> ProcessPoolExecutor:
+        """The process pool that simulates cells (at start and on reset)."""
         return ProcessPoolExecutor(max_workers=self.worker_count,
                                    initializer=pool_child_init)
-
-    def _dash_workers(self) -> Optional[List[Dict[str, object]]]:
-        """Dashboard hook: fleet summaries, or None on a plain server.
-
-        :class:`~repro.service.cluster.Coordinator` overrides this with
-        its registered-worker table; the dashboard shows the workers
-        panel exactly when this returns a list.
-        """
-        return None
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = DEFAULT_PORT) -> Tuple[str, int]:
@@ -327,7 +315,14 @@ class SimulationServer:
                 job.wall_time = float(result.get("wall_time", 0.0))
                 job.source = result.get("worker", "worker")
                 self.counters["executed"] += 1
-                await self._persist(job, result)
+                try:
+                    await self._persist(job, result)
+                except (OSError, sqlite3.Error) as exc:
+                    # a full disk is no reason to simulate again; failing
+                    # the job releases its waiters and frees its key
+                    self._finish(job, JobState.FAILED,
+                                 "store write failed: %r" % (exc,))
+                    return
                 self._finish(job, JobState.DONE)
                 return
             if job.cancel_requested:
@@ -371,11 +366,7 @@ class SimulationServer:
         simulation cannot outlive its job.
         """
         async with self._pool_lock:
-            old, self._pool = self._pool, ProcessPoolExecutor(
-                max_workers=self.worker_count,
-                initializer=pool_child_init)
-        if old is None:
-            return
+            old, self._pool = self._pool, self._make_pool()
         await asyncio.get_event_loop().run_in_executor(
             None, tear_down_pool, old)
 
@@ -502,11 +493,9 @@ class SimulationServer:
         if self.store is not None:
             loop = asyncio.get_event_loop()
             store_info = await loop.run_in_executor(None, self.store.info)
-        workers = self._dash_workers()
         running = sum(1 for j in self.jobs.values()
                       if j.state == JobState.RUNNING)
         server = {
-            "mode": "coordinator" if workers is not None else "server",
             "state": "draining" if self.draining else "running",
             "workers": self.worker_count,
             "queue_limit": self.queue_limit,
@@ -515,7 +504,7 @@ class SimulationServer:
                   "jobs": len(self.jobs)}
         return build_state(server, self.counters, gauges, self.sweeps,
                            [self.jobs[j].summary() for j in self._order],
-                           workers=workers, store=store_info)
+                           store=store_info)
 
     async def _route(self, method: str, path: str, query: Dict[str, str],
                      body: Optional[Dict[str, object]]
@@ -606,11 +595,8 @@ class SimulationServer:
 
 
 def tear_down_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's workers and discard it (crash/timeout path).
-
-    Shared by the server's :meth:`SimulationServer._reset_pool` and the
-    cluster worker node: a wedged simulation must not outlive its job.
-    """
+    """Terminate a pool's workers and discard it (crash/timeout path):
+    a wedged simulation must not outlive its job."""
     processes = list(getattr(pool, "_processes", {}).values())
     for proc in processes:
         try:
@@ -625,7 +611,7 @@ def tear_down_pool(pool: ProcessPoolExecutor) -> None:
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             403: "Forbidden", 404: "Not Found", 409: "Conflict",
-            410: "Gone", 429: "Too Many Requests",
+            429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 

@@ -8,8 +8,8 @@ determines the run (benchmark profile, policy spec, instruction budget,
 seed, :class:`~repro.simulator.config.MachineConfig` including the
 nested ``HierarchyConfig``, run-key code version) — so a cell simulates
 once per configuration, across processes, machines sharing a volume,
-and weeks of wall time. The batch runner, the sweep executor, the job
-server and the cluster workers all read and write :class:`ResultStore`.
+and weeks of wall time. The batch runner, the sweep executor and the
+job server all read and write :class:`ResultStore`.
 
 Layout on disk (everything under one root directory)::
 

@@ -4,8 +4,8 @@ The grid an experiment runs is *data*, not code: a TOML/JSON spec
 (:mod:`repro.sweeps.spec`) compiles to a deterministic plan of
 digest-keyed cells (:mod:`repro.sweeps.plan`), and the executor
 (:mod:`repro.sweeps.executor`) resolves the plan against the result
-store so only dirty cells simulate — locally or over a ``repro serve``
-fleet, with live progress on the server dashboard.
+store so only dirty cells simulate — locally or on a running
+``repro serve``, with live progress on the server dashboard.
 
 Typical use::
 

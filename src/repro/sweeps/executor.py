@@ -10,9 +10,9 @@ resolves every cell in two steps:
    on a local process pool (the suite runner's own
    :func:`~repro.simulator.runner.execute_cells`, so pool/retry
    semantics — and therefore stats — are identical to
-   ``run_suite_parallel``) or against a running ``repro serve`` /
-   coordinator fleet via :class:`ServiceClient`, with at most
-   ``max_in_flight`` submissions outstanding.
+   ``run_suite_parallel``) or against a running ``repro serve`` via
+   :class:`ServiceClient`, with at most ``max_in_flight``
+   submissions outstanding.
 
 Progress is durable: after every wave the executor rewrites the plan's
 *state file* (atomic temp+rename, keyed by the plan digest) recording
@@ -336,7 +336,7 @@ def run_sweep(plan: SweepPlan, store=None,
     """Resolve a plan incrementally and execute only the dirty cells.
 
     ``client`` selects the backend: with one, misses are submitted to
-    the running server/fleet (``max_in_flight`` outstanding at once) and
+    the running server (``max_in_flight`` outstanding at once) and
     the sweep appears on its dashboard; without, they run on a local
     process pool of ``jobs`` workers and are written to ``store``.
     ``store`` (None: the default store, see

@@ -121,7 +121,7 @@ _PARENT_CHECK_S = 0.5
 def pool_child_init() -> None:
     """Process-pool initializer: detach from the parent's signal plumbing.
 
-    Pool children are forked from a server/worker whose asyncio loop
+    Pool children are forked from a server whose asyncio loop
     routes SIGTERM/SIGINT through a wakeup fd (``add_signal_handler``).
     A child inherits both the C-level handler and the *shared* wakeup
     socketpair, so signalling a child (e.g. ``tear_down_pool``
@@ -134,7 +134,7 @@ def pool_child_init() -> None:
     is gone. A SIGKILLed parent never closes the pool's call queue, and
     the child holds that pipe's write end itself, so a child blocked
     reading it would otherwise live on as an orphan with the parent's
-    files (e.g. a store shard's SQLite index) still open.
+    files (e.g. the result store's SQLite index) still open.
 
     Lives here (not in ``repro.service.jobs``) so the batch runner in
     ``repro.simulator`` can install it too without breaking the

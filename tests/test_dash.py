@@ -39,7 +39,7 @@ class TestStateHelpers:
         jobs = ([{"id": "q", "state": "queued"}]
                 + [{"id": "f%d" % i, "state": "done", "finished": float(i)}
                    for i in range(30)])
-        state = build_state({"mode": "server"}, {}, {}, {}, jobs,
+        state = build_state({"state": "running"}, {}, {}, {}, jobs,
                             recent_jobs=5)
         assert state["jobs"]["total"] == 31
         assert state["jobs"]["queued"] == 1
@@ -120,9 +120,9 @@ class TestDashEndpoints:
         client.wait(client.submit(**CELL)["id"], timeout=60)
         state = client.dash_state()
         assert set(state) == {"generated", "server", "counters", "metrics",
-                              "sweeps", "jobs", "workers", "store"}
-        assert state["server"]["mode"] == "server"
-        assert state["workers"] is None  # coordinator-only block
+                              "sweeps", "jobs", "store"}
+        assert state["server"] == {"state": "running", "workers": 1,
+                                   "queue_limit": 256}
         assert state["counters"]["executed"] == 1
         assert state["metrics"]["service.executed"] == 1
         assert state["jobs"]["total"] == 1

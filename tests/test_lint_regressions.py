@@ -20,7 +20,6 @@ REPO = Path(__file__).resolve().parents[1]
 #: files that construct a ProcessPoolExecutor in the shipped tree
 POOL_FILES = (
     "service/server.py",
-    "service/cluster.py",
     "simulator/runner.py",
 )
 
@@ -75,7 +74,7 @@ class TestPoolInitializerRegression:
 
     def test_wrong_initializer_regression(self, tmp_path):
         tree = copy_tree(tmp_path)
-        mutate(tree, "service/cluster.py",
+        mutate(tree, "service/server.py",
                re.compile(r"initializer=pool_child_init"),
                "initializer=print", count=1)
         findings = lint(tree, ["pool-child-init"])
@@ -112,17 +111,6 @@ class TestRouteDriftRegression:
         assert findings, "server-side route rename went undetected"
         messages = " | ".join(f.message for f in findings)
         assert "POST /drain" in messages
-
-    def test_worker_route_rename_fires(self, tmp_path):
-        # coordinator->worker boundary: worker stops answering /execute
-        tree = copy_tree(tmp_path)
-        mutate(tree, "service/cluster.py",
-               re.compile(re.escape('parts == ["execute"]')),
-               'parts == ["run"]')
-        findings = lint(tree, ["route-conformance"])
-        assert findings, "worker route rename went undetected"
-        messages = " | ".join(f.message for f in findings)
-        assert "/execute" in messages or "/run" in messages
 
 
 class TestBlockingCallRegression:

@@ -3,75 +3,44 @@
 The server holds a status request until the job is terminal or ``S``
 seconds pass, so ``ServiceClient.wait`` returns when the job does
 instead of on its next poll. Every behaviour is checked against a live
-:class:`SimulationServer` and against a :class:`Coordinator` with one
-:class:`WorkerNode` — the coordinator inherits the server's
-``_finish``, which is what releases the waiters. A hanging fault job
-(``fault: hang``, retries off) occupies the one execution slot for a
-known time, which makes "held", "released" and "timed out" observable.
+:class:`SimulationServer`, whose ``_finish`` is what releases the
+waiters. A hanging fault job (``fault: hang``, retries off) occupies
+the one execution slot for a known time, which makes "held",
+"released" and "timed out" observable.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import math
-import os
-import re
 import signal
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.service import server as server_mod
 from repro.service.client import ServiceClient
-from repro.service.cluster import Coordinator, WorkerNode
 from repro.service.jobs import JobState
 
-from tests.cluster_harness import Cluster
-from tests.test_service_server import CELL, Harness, wait_state
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-class FleetHarness(Harness):
-    """A Coordinator and one WorkerNode sharing one event-loop thread."""
-
-    server_class = Coordinator
-
-    async def _amain(self):
-        _, self.port = await self.server.start("127.0.0.1", 0)
-        worker = WorkerNode(coordinator_port=self.port, slots=1)
-        await worker.start("127.0.0.1", 0)
-        while not self.server.alive_workers():
-            await asyncio.sleep(0.01)
-        self._ready.set()
-        await self.server.serve_until_drained()
-        # skip the goodbye: the pool child forked in this process holds
-        # the closed coordinator's listening socket, so a deregister
-        # would connect and then wait out its timeout
-        worker.worker_id = None
-        worker.request_drain()
-        await worker.serve_until_drained()
+from tests.test_service_server import (
+    CELL,
+    Harness,
+    serve_process,
+    wait_state,
+)
 
 
-@pytest.fixture(params=["server", "coordinator"])
-def backend(request, tmp_path, monkeypatch):
+@pytest.fixture
+def backend(tmp_path, monkeypatch):
     """Factory for a live control plane with one execution slot."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
     made = []
 
     def make(**kwargs):
-        kwargs.update(allow_faults=True, retries=0)
-        if request.param == "server":
-            h = Harness(jobs=1, **kwargs)
-        else:
-            h = FleetHarness(heartbeat_interval=0.2, **kwargs)
+        h = Harness(jobs=1, allow_faults=True, retries=0, **kwargs)
         made.append(h)
         return h
 
@@ -231,50 +200,18 @@ class TestClientWindow:
 class TestDrainWithWaiter:
     """SIGTERM with a long-poll outstanding: answered, then exit 0."""
 
-    @staticmethod
-    def _held_waiter(client, job_id):
-        answers = []
-        thread = threading.Thread(
-            target=lambda: answers.append(client.status(job_id, wait=20)))
-        thread.start()
-        time.sleep(0.2)             # let the request reach the server
-        return thread, answers
-
     def test_server_drain_answers_waiter(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(SRC),
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                   REPRO_NO_MANIFEST="1")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--jobs", "1", "--retries", "0", "--allow-faults"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
-        try:
-            match = re.search(r"http://[\d.]+:(\d+)",
-                              proc.stdout.readline())
-            assert match, "no listen line"
-            client = ServiceClient(port=int(match.group(1)), timeout=30)
+        answers = []
+        with serve_process(tmp_path, "--jobs", "1", "--retries", "0",
+                           "--allow-faults") as (proc, client):
             job = client.submit("noop", fault="hang", fault_seconds=1.0)
             wait_state(client, job["id"], JobState.RUNNING)
-            thread, answers = self._held_waiter(client, job["id"])
+            waiter = ServiceClient(port=client.port, timeout=30)
+            thread = threading.Thread(target=lambda: answers.append(
+                waiter.status(job["id"], wait=20)))
+            thread.start()
+            time.sleep(0.2)             # let the request reach the server
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
             thread.join(15)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-        assert [job["state"] for job in answers] == [JobState.FAILED]
-
-    def test_coordinator_drain_answers_waiter(self, tmp_path):
-        with Cluster(tmp_path, workers=1, retries=0,
-                     allow_faults=True) as c:
-            client = c.client()
-            job = client.submit("noop", fault="hang", fault_seconds=1.0)
-            c.wait_state(job["id"], JobState.RUNNING)
-            thread, answers = self._held_waiter(client, job["id"])
-            codes = c.drain_fleet()
-            thread.join(15)
-        assert set(codes.values()) == {0}
         assert [job["state"] for job in answers] == [JobState.FAILED]

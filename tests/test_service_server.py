@@ -9,15 +9,20 @@ timeout -> pool reset -> retry with backoff -> terminal ``failed``;
 worker crash -> ``BrokenProcessPool`` -> pool reset -> server survives.
 The drain tests check the SIGTERM contract: no new submissions, the
 backlog finishes and persists, the process exits 0. A SIGKILLed server
-must not leave its pool child behind as an orphan.
+must not leave its pool child behind as an orphan, and a pool child
+SIGKILLed from outside mid-cell costs one retry, never a wrong result.
+A store write that fails ends its job ``failed`` instead of stranding it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import errno
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -35,14 +40,14 @@ from repro.simulator.runner import run_benchmark
 CELL = dict(benchmark="noop", policy="baseline", instructions=2000,
             warmup=300)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 class Harness:
     """A live server on an ephemeral port, event loop in a thread."""
 
-    server_class = SimulationServer
-
     def __init__(self, **kwargs):
-        self.server = self.server_class(**kwargs)
+        self.server = SimulationServer(**kwargs)
         self.port = None
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -246,6 +251,50 @@ class TestFailureRecovery:
         assert "injected failure" in done["error"]
 
 
+class TestStoreWriteFault:
+    @pytest.mark.parametrize("where", ["blob", "index"])
+    def test_failed_write_fails_job_and_frees_its_key(self, harness,
+                                                       tmp_path, where):
+        store = ResultStore(tmp_path / "store")
+        h = harness(store=store)
+        client = h.client()
+        faulty = [True]
+        write_blob, put = store._write_blob, store.put
+
+        def full_disk_blob(payload):
+            if faulty:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_blob(payload)
+
+        def full_disk_index(key, stats, **kwargs):
+            if not faulty:
+                return put(key, stats, **kwargs)
+            write_blob(stats.to_dict())  # the blob lands, its row does not
+            raise sqlite3.OperationalError("database or disk is full")
+
+        if where == "blob":
+            store._write_blob = full_disk_blob
+        else:
+            store.put = full_disk_index
+        failed = client.wait(client.submit(**CELL)["id"], timeout=30)
+        assert failed["state"] == JobState.FAILED
+        assert "store write failed" in failed["error"]
+        assert ("No space left" if where == "blob"
+                else "disk is full") in failed["error"]
+        assert h.server.counters["failed"] == 1
+        key = ResultStore.cell_key(CELL["benchmark"], CELL["policy"],
+                                   CELL["instructions"], CELL["warmup"])
+        assert store.get(key) is None
+        # the key is free again: a resubmission is a new job that runs
+        faulty.clear()
+        done = client.wait(client.submit(**CELL)["id"], timeout=30)
+        assert done["id"] != failed["id"]
+        assert done["state"] == JobState.DONE
+        assert done["source"].startswith("pid:")
+        local = run_benchmark(use_cache=False, seed=1, **CELL)
+        assert store.get(key).to_dict() == local.to_dict()
+
+
 class TestCancel:
     def test_cancel_queued_is_immediate(self, harness):
         h = harness(allow_faults=True, timeout=2.0, retries=0)
@@ -301,34 +350,41 @@ class TestDrain:
             assert len(store) == 2
 
 
+@contextlib.contextmanager
+def serve_process(tmp_path, *args):
+    """``repro serve --port 0 ARGS`` as a subprocess: yields ``(proc,
+    client)`` and kills the process on the way out if it still runs."""
+    env = dict(os.environ,
+               PYTHONPATH=str(SRC),
+               REPRO_CACHE_DIR=str(tmp_path / "cache"),
+               REPRO_NO_MANIFEST="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env)
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r"http://[\d.]+:(\d+)", line)
+        assert match, "no listen line: %r" % line
+        yield proc, ServiceClient(port=int(match.group(1)), timeout=15)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGTERM"), reason="POSIX only")
 class TestSigtermDrain:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ,
-                   PYTHONPATH=str(src),
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                   REPRO_NO_MANIFEST="1")
         store_root = tmp_path / "store"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--jobs", "1", "--store", str(store_root)],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
-        try:
-            line = proc.stdout.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", line)
-            assert match, "no listen line: %r" % line
-            client = ServiceClient(port=int(match.group(1)), timeout=15)
+        with serve_process(tmp_path, "--jobs", "1",
+                           "--store", str(store_root)) as (proc, client):
             job = client.submit(**CELL)
             # SIGTERM while the cell may still be running: the drain
             # must let it finish and persist before the process exits
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
         with ResultStore(store_root) as store:
             key = ResultStore.cell_key(CELL["benchmark"], CELL["policy"],
                                        CELL["instructions"],
@@ -343,6 +399,16 @@ def _children(pid):
     pids = [int(entry) for entry in os.listdir("/proc") if entry.isdigit()]
     return [child for child in pids
             if _proc_stat(child)[1:2] == [str(pid)] and _alive(child)]
+
+
+def _pool_children(proc, timeout=10.0):
+    """The server's pool children, once it has forked any."""
+    deadline = time.monotonic() + timeout
+    children = []
+    while not children and time.monotonic() < deadline:
+        children = _children(proc.pid)
+    assert children, "the server forked no pool child"
+    return children
 
 
 def _proc_stat(pid):
@@ -365,42 +431,52 @@ def _alive(pid):
                     reason="reads /proc (Linux)")
 class TestSigkillOrphans:
     def test_sigkilled_server_leaves_no_pool_child(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ,
-                   PYTHONPATH=str(src),
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                   REPRO_NO_MANIFEST="1")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--jobs", "1", "--allow-faults"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
         children = []
         try:
-            line = proc.stdout.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", line)
-            assert match, "no listen line: %r" % line
-            client = ServiceClient(port=int(match.group(1)), timeout=15)
-            job = client.submit("noop", fault="hang", fault_seconds=60)
-            wait_state(client, job["id"], JobState.RUNNING)
-            deadline = time.monotonic() + 10.0
-            while not children and time.monotonic() < deadline:
-                children = _children(proc.pid)
-            assert children, "the server forked no pool child"
-            # machine-death shape: the server gets no chance to clean up
-            proc.kill()
-            proc.wait(timeout=30)
+            with serve_process(tmp_path, "--jobs", "1",
+                               "--allow-faults") as (proc, client):
+                job = client.submit("noop", fault="hang", fault_seconds=60)
+                wait_state(client, job["id"], JobState.RUNNING)
+                children = _pool_children(proc)
+                # machine-death shape: the server gets no chance to
+                # clean up
+                proc.kill()
+                proc.wait(timeout=30)
             deadline = time.monotonic() + 5.0
             while (any(_alive(pid) for pid in children)
                    and time.monotonic() < deadline):
                 time.sleep(0.05)
             leftover = [pid for pid in children if _alive(pid)]
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
             for pid in children:
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)
         assert leftover == [], "orphaned pool children outlived the server"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads /proc (Linux)")
+class TestSigkillPoolChild:
+    def test_killed_mid_cell_is_retried_bit_identical(self, tmp_path):
+        # the OOM-killer shape: the pool child dies from outside while
+        # it simulates; the server replaces the pool and runs the cell
+        # again, and the retry reproduces the golden row
+        from tests.test_golden_stats import GOLDEN
+
+        bench, policy, seed, instructions, warmup, want = GOLDEN[0]
+        with serve_process(tmp_path, "--jobs", "1", "--store",
+                           str(tmp_path / "store")) as (proc, client):
+            job = client.submit(bench, policy, instructions=instructions,
+                                warmup=warmup, seed=seed)
+            wait_state(client, job["id"], JobState.RUNNING)
+            (child,) = _pool_children(proc)
+            os.kill(child, signal.SIGKILL)
+            done = client.wait(job["id"], timeout=120)
+            crashes = client.health()["counters"]["worker_crashes"]
+            stats = client.result(job["id"])["stats"]
+            client.drain()
+            assert proc.wait(timeout=60) == 0
+        assert done["state"] == JobState.DONE, done
+        assert done["attempts"] == 2
+        assert crashes == 1
+        assert stats == want
