@@ -41,7 +41,9 @@ Commands:
 Every result is looked up in and written to one result store
 (:mod:`repro.simulator.cache`). ``--store DIR`` (or the ``REPRO_STORE``
 env var) picks its root, else ``<cache dir>/store`` — the root ``serve``
-also defaults to, so batch and served work share one result set.
+also defaults to, so batch and served work share one result set. The
+trace names registered in that store are the trace benchmarks a
+command accepts.
 ``bench`` deliberately has no such flag — scores must time real
 simulations.
 """
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="downsampler fill-selection seed (default 0)")
     p_ing.add_argument("--register", default=None, metavar="NAME",
                        help="also register the trace as benchmark NAME "
-                            "(persists in the user trace registry; "
+                            "(persists in the store; "
                             "usable in run/suite/sweep/bench/submit)")
     _store_arg(p_ing)
 
@@ -285,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_submit = sub.add_parser(
         "submit", help="submit one cell to a running job server")
-    p_submit.add_argument("benchmark", choices=known_benchmark_names())
+    # the server checks the name against the benchmarks it knows
+    p_submit.add_argument("benchmark")
     p_submit.add_argument("policy", choices=sorted(POLICIES))
     p_submit.add_argument("--instructions", type=int,
                           default=DEFAULT_INSTRUCTIONS)
@@ -656,7 +659,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except TraceIngestError as exc:
             print(f"register failed: {exc}")
             return 1
-        print(f"  registered   '{args.register}' in {reg} "
+        print(f"  registered   '{args.register}' in store {reg} "
               f"(usable in run/suite/sweep/bench)")
     return 0
 
@@ -995,13 +998,23 @@ COMMANDS = {
 }
 
 
+def _export_store(root: Optional[str]) -> None:
+    # --store roots the process's one store: every open_store() of this
+    # command, the figure code it runs, its pool children, and the trace
+    # names the parser offers as benchmarks
+    if root:
+        os.environ[STORE_ENV] = root
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: run with env-controlled budgets and print."""
+    # resolved before the parser is built, whose benchmark choices
+    # include the trace names of the store this command will use
+    early = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    early.add_argument("--store")
+    _export_store(early.parse_known_args(argv)[0].store)
     args = build_parser().parse_args(argv)
-    if getattr(args, "store", None):
-        # --store roots the process's one store: every open_store() of
-        # this command, the figure code it runs and its pool children
-        os.environ[STORE_ENV] = args.store
+    _export_store(getattr(args, "store", None))  # also an abbreviated --sto
     return COMMANDS[args.command](args)
 
 

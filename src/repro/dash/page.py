@@ -170,8 +170,7 @@ function render(s) {
     "badge " + (server.state === "running" ? "ok" : "");
   document.getElementById("meta").textContent =
     "generated " + new Date(s.generated * 1000).toLocaleTimeString() +
-    (s.store ? " · store " + s.store.rows + " rows / " +
-               s.store.hits + " hits" : " · no store");
+    (s.store ? " · store " + s.store.rows + " rows" : " · no store");
   const c = s.counters || {}, jobs = s.jobs || {};
   document.getElementById("tiles").innerHTML =
     tile("queued", jobs.queued || 0) + tile("running", jobs.running || 0) +

@@ -5,6 +5,11 @@
 so the batch runner can open the store without importing the service.
 """
 
-from repro.simulator.cache import STORE_SCHEMA_VERSION, ResultStore, open_store
+from repro.simulator.cache import (
+    STORE_SCHEMA_VERSION,
+    ResultStore,
+    open_store,
+    store_root,
+)
 
-__all__ = ["STORE_SCHEMA_VERSION", "ResultStore", "open_store"]
+__all__ = ["STORE_SCHEMA_VERSION", "ResultStore", "open_store", "store_root"]

@@ -29,10 +29,15 @@ writing process and thread, then ``rename``); the index row is
 inserted only after its blob exists. Readers therefore never observe a
 partial payload. Concurrent writers of the same cell are idempotent —
 both write the same blob bytes and the second row upsert wins
-harmlessly. Eviction (:meth:`ResultStore.prune`) deletes
-least-recently-accessed index rows first and then garbage-collects
-unreferenced blobs; a reader holding a key between those two steps just
-re-simulates, it can never load a torn result.
+harmlessly. Reading is a pure read: a lookup, and opening a store that
+already has its schema, run only ``SELECT``. A row whose blob is missing
+or unreadable is a plain miss; the next ``put`` of that cell rewrites
+the blob. Nothing is ever evicted.
+
+The store also names ingested traces: ``trace_names`` maps a benchmark
+name registered by ``repro ingest --register`` to its trace blob's
+digest and registration spec (see :mod:`repro.traces.registry`), so a
+name lives with the blob it points to and ``--store`` selects both.
 
 :func:`open_store` is the process's default store, rooted at
 ``--store``/``REPRO_STORE``, else ``<cache dir>/store``
@@ -49,7 +54,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import PolicySpec, get_policy
@@ -100,10 +105,22 @@ def run_key(benchmark: str, spec: PolicySpec, instructions: int, warmup: int,
 
 
 def _now() -> float:
-    # LRU and creation bookkeeping of the store, never simulation state
+    # creation bookkeeping of the store, never simulation state
     return time.time()  # repro: lint-ignore[determinism-wallclock]
 
 
+#: ingested trace names; stores created before it get the table from
+#: the first registration's write transaction
+_TRACE_NAMES = """
+CREATE TABLE IF NOT EXISTS trace_names (
+    name TEXT PRIMARY KEY,
+    digest TEXT NOT NULL,
+    spec TEXT NOT NULL
+)"""
+
+# ``last_access`` (and ``hits`` of results) are set once, at insert, and
+# never updated: they stay so that every store, whenever written, has
+# one layout and opens with no migration
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -125,8 +142,6 @@ CREATE TABLE IF NOT EXISTS results (
     last_access REAL NOT NULL,
     hits INTEGER NOT NULL DEFAULT 0
 );
-CREATE INDEX IF NOT EXISTS idx_results_last_access
-    ON results (last_access);
 CREATE INDEX IF NOT EXISTS idx_results_cell
     ON results (benchmark, policy, seed);
 CREATE TABLE IF NOT EXISTS traces (
@@ -140,11 +155,11 @@ CREATE TABLE IF NOT EXISTS traces (
     last_access REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_traces_source ON traces (source_sha);
-"""
+""" + _TRACE_NAMES + ";"
 
 
 class ResultStore:
-    """Durable get/put/get-or-compute over simulation results.
+    """Durable get/put over simulation results and ingested traces.
 
     Thread-safe (one connection guarded by a lock) and safe across
     processes (SQLite WAL + busy timeout; blob writes are atomic
@@ -160,12 +175,18 @@ class ResultStore:
         self._lock = threading.Lock()
         self._db = sqlite3.connect(str(self.root / "store.sqlite"),
                                    timeout=30.0, check_same_thread=False)
-        self._db.executescript(_SCHEMA)
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            ("schema", str(STORE_SCHEMA_VERSION)))
-        self._db.commit()
+        if not self._has_table("results"):  # a new root: the only write
+            self._db.executescript(_SCHEMA)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                ("schema", str(STORE_SCHEMA_VERSION)))
+            self._db.commit()
+
+    def _has_table(self, name: str) -> bool:
+        return self._db.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?",
+            (name,)).fetchone() is not None
 
     def close(self) -> None:
         with self._lock:
@@ -222,26 +243,13 @@ class ResultStore:
     # get / put
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimulationStats]:
-        """Stats stored under ``key`` (None on miss); bumps LRU clock."""
+        """Stats stored under ``key``; None on a miss or a missing blob."""
         with self._lock:
             row = self._db.execute(
                 "SELECT stats_blob FROM results WHERE key = ?",
                 (key,)).fetchone()
-            if row is None:
-                return None
-            self._db.execute(
-                "UPDATE results SET last_access = ?, hits = hits + 1 "
-                "WHERE key = ?", (_now(), key))
-            self._db.commit()
-        payload = self._read_blob(row[0])
-        if payload is None:
-            # torn/evicted blob: drop the dangling row, report a miss
-            with self._lock:
-                self._db.execute("DELETE FROM results WHERE key = ?",
-                                 (key,))
-                self._db.commit()
-            return None
-        return SimulationStats.from_dict(payload)
+        payload = None if row is None else self._read_blob(row[0])
+        return None if payload is None else SimulationStats.from_dict(payload)
 
     def get_telemetry(self, key: str) -> Optional[Dict[str, object]]:
         """Telemetry dump stored with the cell (None if absent)."""
@@ -296,8 +304,7 @@ class ResultStore:
                 " stats_blob = excluded.stats_blob,"
                 " telemetry_blob = COALESCE(excluded.telemetry_blob,"
                 "                           results.telemetry_blob),"
-                " manifest = excluded.manifest,"
-                " last_access = excluded.last_access",
+                " manifest = excluded.manifest",
                 (key, str(meta.get("benchmark", "")),
                  str(meta.get("policy", "")),
                  int(meta.get("seed", 0)),
@@ -309,18 +316,6 @@ class ResultStore:
                  json.dumps(meta, sort_keys=True), now, now))
             self._db.commit()
         return stats_digest
-
-    def get_or_compute(self, key: str,
-                       compute: Callable[[], SimulationStats],
-                       meta: Optional[Dict[str, object]] = None,
-                       ) -> Tuple[SimulationStats, bool]:
-        """``(stats, hit)``: load ``key``, or compute and persist it."""
-        stats = self.get(key)
-        if stats is not None:
-            return stats, True
-        stats = compute()
-        self.put(key, stats, meta=meta)
-        return stats, False
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -338,10 +333,9 @@ class ResultStore:
     # trace blobs (ingested external workloads)
     # ------------------------------------------------------------------
     # Traces are *inputs*, not results: rows are keyed by the blob's own
-    # content digest, never LRU-pruned (prune() touches only results),
-    # and their blobs are pinned against gc_blobs(). ``source_sha``
-    # fingerprints (source bytes, ingest parameters) so re-ingesting the
-    # same file is a pure index lookup — zero pipeline work.
+    # content digest. ``source_sha`` fingerprints (source bytes, ingest
+    # parameters) so re-ingesting the same file is a pure index lookup —
+    # zero pipeline work.
 
     def put_trace(self, payload: Dict[str, object], name: str = "",
                   source_sha: str = "",
@@ -365,8 +359,7 @@ class ResultStore:
                 " ON CONFLICT(digest) DO UPDATE SET"
                 " name = excluded.name,"
                 " source_sha = excluded.source_sha,"
-                " meta = excluded.meta,"
-                " last_access = excluded.last_access",
+                " meta = excluded.meta",
                 (digest, name, source_sha,
                  int(len(payload.get("events", ()))),  # type: ignore[arg-type]
                  int((meta or {}).get("instructions", 0)),
@@ -375,39 +368,23 @@ class ResultStore:
         return digest, not existed
 
     def get_trace(self, digest: str) -> Optional[Dict[str, object]]:
-        """Trace blob payload by digest (None on miss); bumps LRU clock."""
+        """Trace blob payload by digest (None on miss)."""
         with self._lock:
             row = self._db.execute(
                 "SELECT 1 FROM traces WHERE digest = ?",
                 (digest,)).fetchone()
-            if row is not None:
-                self._db.execute(
-                    "UPDATE traces SET last_access = ? WHERE digest = ?",
-                    (_now(), digest))
-                self._db.commit()
         if row is None:
             return None
         return self._read_blob(digest)
 
-    def find_trace(self, source_sha: Optional[str] = None,
-                   name: Optional[str] = None
-                   ) -> Optional[Dict[str, object]]:
-        """Newest trace row matching ``source_sha`` and/or ``name``."""
-        clauses, params = [], []
-        if source_sha is not None:
-            clauses.append("source_sha = ?")
-            params.append(source_sha)
-        if name is not None:
-            clauses.append("name = ?")
-            params.append(name)
-        if not clauses:
-            return None
+    def find_trace(self, source_sha: str) -> Optional[Dict[str, object]]:
+        """Newest trace row ingested with fingerprint ``source_sha``."""
         with self._lock:
             cur = self._db.execute(
                 "SELECT digest, name, source_sha, events, instructions,"
-                " meta, created, last_access FROM traces WHERE "
-                + " AND ".join(clauses) + " ORDER BY created DESC LIMIT 1",
-                params)
+                " meta, created, last_access FROM traces"
+                " WHERE source_sha = ? ORDER BY created DESC LIMIT 1",
+                (source_sha,))
             row = cur.fetchone()
             if row is None:
                 return None
@@ -427,6 +404,30 @@ class ResultStore:
             rows = cur.fetchall()
         return [dict(zip(names, row)) for row in rows]
 
+    def name_trace(self, name: str, digest: str,
+                   spec: Dict[str, object]) -> None:
+        """Point trace benchmark ``name`` at ``digest`` (upsert)."""
+        # one write transaction (committed, or rolled back on error),
+        # which also gives a store that predates the table its trace_names
+        with self._lock, self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            self._db.execute(_TRACE_NAMES)
+            self._db.execute(
+                "INSERT INTO trace_names (name, digest, spec)"
+                " VALUES (?, ?, ?) ON CONFLICT(name) DO UPDATE SET"
+                " digest = excluded.digest, spec = excluded.spec",
+                (name, digest, json.dumps(spec, sort_keys=True)))
+
+    def trace_names(self) -> Dict[str, Tuple[str, Dict[str, object]]]:
+        """``{name: (digest, spec)}`` of every named trace."""
+        with self._lock:
+            if not self._has_table("trace_names"):
+                return {}  # a store from before trace names: none
+            rows = self._db.execute(
+                "SELECT name, digest, spec FROM trace_names").fetchall()
+        return {name: (digest, json.loads(spec))
+                for name, digest, spec in rows}
+
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -436,65 +437,16 @@ class ResultStore:
         with self._lock:
             (rows,) = self._db.execute(
                 "SELECT COUNT(*) FROM results").fetchone()
-            (hits,) = self._db.execute(
-                "SELECT COALESCE(SUM(hits), 0) FROM results").fetchone()
             (traces,) = self._db.execute(
                 "SELECT COUNT(*) FROM traces").fetchone()
         return {
             "root": str(self.root),
             "schema": STORE_SCHEMA_VERSION,
             "rows": int(rows),
-            "hits": int(hits),
             "traces": int(traces),
             "blobs": len(blobs),
             "blob_bytes": sum(p.stat().st_size for p in blobs),
         }
-
-    def prune(self, max_rows: Optional[int] = None,
-              max_age_s: Optional[float] = None) -> Dict[str, int]:
-        """Evict LRU rows beyond ``max_rows`` / older than ``max_age_s``.
-
-        Rows go first (oldest ``last_access`` first), then
-        :meth:`gc_blobs` removes payload files no surviving row
-        references. Returns ``{"rows": evicted, "blobs": collected}``.
-        """
-        evicted = 0
-        with self._lock:
-            if max_age_s is not None:
-                cutoff = _now() - max_age_s
-                cur = self._db.execute(
-                    "DELETE FROM results WHERE last_access < ?", (cutoff,))
-                evicted += cur.rowcount
-            if max_rows is not None:
-                cur = self._db.execute(
-                    "DELETE FROM results WHERE key IN ("
-                    " SELECT key FROM results ORDER BY last_access DESC"
-                    " LIMIT -1 OFFSET ?)", (int(max_rows),))
-                evicted += cur.rowcount
-            self._db.commit()
-        return {"rows": evicted, "blobs": self.gc_blobs()}
-
-    def gc_blobs(self) -> int:
-        """Delete blob files referenced by no index row; returns count."""
-        with self._lock:
-            referenced = {d for (d,) in self._db.execute(
-                "SELECT stats_blob FROM results")}
-            referenced |= {d for (d,) in self._db.execute(
-                "SELECT telemetry_blob FROM results"
-                " WHERE telemetry_blob IS NOT NULL")}
-            # trace blobs are pinned: an ingested workload must survive
-            # result eviction, or every warm sweep over it re-ingests
-            referenced |= {d for (d,) in self._db.execute(
-                "SELECT digest FROM traces")}
-        removed = 0
-        for path in self.blob_dir.glob("*/*.json"):
-            if path.stem not in referenced:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass  # concurrent GC; already gone
-        return removed
 
 
 def store_root(path: "str | Path | None" = None) -> Path:

@@ -18,6 +18,7 @@ of the most recent manifest.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
@@ -33,6 +34,10 @@ from repro.utils import canonical_digest
 #: v2: cells carry ``stats`` counter digests (diffable via ``repro diff``)
 #: and, when REPRO_TELEMETRY is on, per-cell ``telemetry`` summaries
 SCHEMA_VERSION = 2
+
+#: per-process sequence number: one process may write several
+#: manifests within a second (a figure that runs one grid per config)
+_SEQUENCE = itertools.count()
 
 
 def manifest_dir() -> Path:
@@ -144,7 +149,8 @@ class RunManifest:
             directory.mkdir(parents=True, exist_ok=True)
             stamp = time.strftime("%Y%m%d-%H%M%S",
                                   time.localtime(self.started))
-            path = directory / ("run-%s-%d.json" % (stamp, os.getpid()))
+            path = directory / ("run-%s-%d-%d.json"
+                                % (stamp, os.getpid(), next(_SEQUENCE)))
         else:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)

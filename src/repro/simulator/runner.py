@@ -23,6 +23,7 @@ serial (see :func:`resolve_jobs`).
 from __future__ import annotations
 
 import os
+import sqlite3
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -267,7 +268,8 @@ def run_suite_parallel(policies: Sequence[str],
     :func:`~repro.simulator.cache.open_store`). Hits appear in the
     manifest with worker ``store``; every freshly computed cell is
     written to it once, so a re-run against the same store performs zero
-    simulations.
+    simulations. A cell whose write fails (``OSError`` or
+    ``sqlite3.Error``) counts as failed; the other cells are kept.
     """
     from repro.simulator import cache as result_cache
 
@@ -320,13 +322,18 @@ def run_suite_parallel(policies: Sequence[str],
             stats, wall, worker, telemetry = computed[key]
             status, error = "ok", ""
             n_attempts = attempts[key]
-            store.put(key, stats, meta={
-                "benchmark": bench, "policy": grid_slots[0][1],
-                "seed": seed, "instructions": instructions,
-                "warmup": warmup, "config_hash": cfg_hash,
-                "wall_time": wall, "worker": worker,
-                "attempts": n_attempts, "label": manifest.label,
-            }, telemetry=telemetry)
+            try:
+                store.put(key, stats, meta={
+                    "benchmark": bench, "policy": grid_slots[0][1],
+                    "seed": seed, "instructions": instructions,
+                    "warmup": warmup, "config_hash": cfg_hash,
+                    "wall_time": wall, "worker": worker,
+                    "attempts": n_attempts, "label": manifest.label,
+                }, telemetry=telemetry)
+            except (OSError, sqlite3.Error) as exc:
+                # a full disk fails this cell, not the rest of the grid
+                stats, status = None, "failed"
+                error = errors[key] = "store write failed: %r" % (exc,)
         else:
             stats, wall, worker = None, 0.0, "none"
             status, error = "failed", errors.get(key, "unknown")

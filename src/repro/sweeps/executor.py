@@ -4,15 +4,17 @@ Given a compiled :class:`~repro.sweeps.plan.SweepPlan`, the executor
 resolves every cell in two steps:
 
 1. **store** — each cell is looked up once in the
-   :class:`~repro.simulator.cache.ResultStore`, so a warm re-run is
-   visible in the store's ``hits`` counter.
+   :class:`~repro.simulator.cache.ResultStore`; a lookup only reads,
+   so a warm re-run writes nothing to the store.
 2. **execute** — the misses are the *dirty set*. They run either
    on a local process pool (the suite runner's own
    :func:`~repro.simulator.runner.execute_cells`, so pool/retry
    semantics — and therefore stats — are identical to
    ``run_suite_parallel``) or against a running ``repro serve`` via
    :class:`ServiceClient`, with at most ``max_in_flight``
-   submissions outstanding.
+   submissions outstanding. A local cell whose store write fails
+   (``OSError`` or ``sqlite3.Error``, e.g. a full disk) is recorded as
+   failed, as the server fails such a job, and the rest go on.
 
 Progress is durable: after every wave the executor rewrites the plan's
 *state file* (atomic temp+rename, keyed by the plan digest) recording
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -244,17 +247,22 @@ def _run_local(dirty: List[PlanCell], report: SweepReport, store,
         for cell in wave:
             if cell.key in computed:
                 stats, wall, worker, telemetry = computed[cell.key]
-                store.put(cell.key, stats, meta={
-                    "benchmark": cell.benchmark, "policy": cell.policy,
-                    "seed": cell.seed, "instructions": cell.instructions,
-                    "warmup": cell.warmup,
-                    "config_hash": config_hash(
-                        config_from_payload(cell.config)),
-                    "wall_time": wall, "worker": worker,
-                    "attempts": attempts[cell.key],
-                    "label": "sweep:%s" % report.name,
-                }, telemetry=telemetry)
-                report.record(cell, "executed", stats, wall_time=wall)
+                try:
+                    store.put(cell.key, stats, meta={
+                        "benchmark": cell.benchmark, "policy": cell.policy,
+                        "seed": cell.seed, "instructions": cell.instructions,
+                        "warmup": cell.warmup,
+                        "config_hash": config_hash(
+                            config_from_payload(cell.config)),
+                        "wall_time": wall, "worker": worker,
+                        "attempts": attempts[cell.key],
+                        "label": "sweep:%s" % report.name,
+                    }, telemetry=telemetry)
+                except (OSError, sqlite3.Error) as exc:
+                    report.record(cell, "failed", None,
+                                  error="store write failed: %r" % (exc,))
+                else:
+                    report.record(cell, "executed", stats, wall_time=wall)
             else:
                 report.record(cell, "failed", None,
                               error=errors.get(cell.key, "unknown"))

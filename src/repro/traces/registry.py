@@ -2,14 +2,16 @@
 
 This module is the provider behind the external-benchmark registry in
 :mod:`repro.workloads.profiles` (loaded lazily, by dotted name, on the
-first unknown-benchmark lookup — including inside pool children and on
-remote workers).  Importing it registers:
+first unknown-benchmark lookup — including inside pool children).
+Importing it registers:
 
 * the **bundled traces** pinned in ``data/bundled.json`` (regenerate
   with ``scripts/make_bundled_traces.py``), and
 * any **user traces** recorded by ``repro ingest --register NAME`` in
-  the registry file (``REPRO_TRACE_REGISTRY`` or
-  ``~/.repro/trace_registry.json``).
+  the ``trace_names`` table of the default result store
+  (:func:`~repro.service.store.store_root`), the store that holds
+  their blobs. A store that does not exist yet is not created: it has
+  no names.
 
 Registration is cheap: only the :class:`TraceProfile` (name, pinned
 digest, event/instruction counts) is built eagerly, so computing a run
@@ -30,7 +32,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.service.store import open_store
+from repro.service.store import open_store, store_root
 from repro.traces.downsample import DEFAULT_BUDGET, DEFAULT_WINDOW
 from repro.traces.ingest import IngestReport, load_workload
 from repro.traces.schema import TraceIngestError
@@ -41,23 +43,12 @@ from repro.workloads.trace import TraceReplayer
 DATA_DIR = Path(__file__).resolve().parent / "data"
 BUNDLED_MANIFEST = DATA_DIR / "bundled.json"
 
-#: env var relocating the user trace-registry file
-REGISTRY_ENV = "REPRO_TRACE_REGISTRY"
-
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_.-]{0,63}$")
 
 _SPECS: Dict[str, Dict[str, object]] = {}
 _WORKLOADS: Dict[str, TraceWorkload] = {}
 _BUNDLED_NAMES: "set[str]" = set()
 _LOCK = threading.Lock()
-
-
-def registry_path() -> Path:
-    """Location of the user trace-registry JSON file."""
-    override = os.environ.get(REGISTRY_ENV, "").strip()
-    if override:
-        return Path(override)
-    return Path.home() / ".repro" / "trace_registry.json"
 
 
 def trace_benchmark_names() -> "tuple[str, ...]":
@@ -132,20 +123,13 @@ def _load_bundled() -> None:
         _register(name, spec)
 
 
-def _load_user_registry() -> None:
-    path = registry_path()
-    if not path.exists():
-        return
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise TraceIngestError("unreadable trace registry %s: %s"
-                               % (path, exc))
-    for name, spec in sorted(entries.items()):
+def _load_user_names() -> None:
+    if not (store_root() / "store.sqlite").is_file():
+        return  # listing names never creates a store
+    for name, (digest, spec) in sorted(open_store().trace_names().items()):
         if name in _SPECS:
             continue  # bundled names win; the CLI refuses to shadow them
-        _register(name, dict(spec))
+        _register(name, dict(spec, digest=digest))
 
 
 def register_ingested(name: str, report: IngestReport,
@@ -154,8 +138,9 @@ def register_ingested(name: str, report: IngestReport,
                       description: str = "") -> Path:
     """Persist + activate ``repro ingest --register NAME``.
 
-    Writes the entry into the user registry file and registers the
-    benchmark in this process.  Returns the registry path.
+    Upserts the name into the default store's ``trace_names`` table in
+    one transaction, so concurrent registrations never lose one, and
+    registers the benchmark in this process.  Returns the store root.
     """
     if not _NAME_RE.match(name):
         raise TraceIngestError(
@@ -166,7 +151,6 @@ def register_ingested(name: str, report: IngestReport,
             "%r is a bundled trace benchmark and cannot be replaced; "
             "pick another name" % (name,))
     spec: Dict[str, object] = {
-        "digest": report.digest,
         "path": os.path.abspath(report.source),
         "format": report.format,
         "events": report.events,
@@ -179,21 +163,11 @@ def register_ingested(name: str, report: IngestReport,
     }
     if profile:
         spec["profile"] = dict(profile)
-    path = registry_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entries: Dict[str, object] = {}
-    if path.exists():
-        with open(path) as fh:
-            entries = json.load(fh)
-    entries[name] = spec
-    tmp = path.with_suffix(".%d.tmp" % os.getpid())
-    with open(tmp, "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tmp.replace(path)
-    _register(name, spec, replace_existing=True)
-    return path
+    store = open_store()
+    store.name_trace(name, report.digest, spec)
+    _register(name, dict(spec, digest=report.digest), replace_existing=True)
+    return store.root
 
 
 _load_bundled()
-_load_user_registry()
+_load_user_names()

@@ -87,6 +87,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "noop", "bogus"])
 
+    def test_submit_leaves_benchmark_names_to_the_server(self):
+        # the server knows the names of its own store; it answers 400
+        args = build_parser().parse_args(["submit", "elsewhere", "baseline"])
+        assert args.benchmark == "elsewhere"
+
     def test_jobs_args(self):
         args = build_parser().parse_args(["jobs"])
         assert args.job is None and not args.drain

@@ -72,6 +72,15 @@ class TestWriteLoad:
         assert data["cells"][0]["benchmark"] == "noop"
         assert data["summary"]["cells"] == 1
 
+    def test_two_writes_in_one_second_keep_both(self, tmp_manifests):
+        # a figure that runs one grid per config writes several
+        # manifests from one process within the same second
+        first, second = RunManifest(label="a"), RunManifest(label="b")
+        second.started = first.started
+        paths = [first.write(), second.write()]
+        assert sorted(tmp_manifests.iterdir()) == sorted(paths)
+        assert [manifest_mod.load(p)["label"] for p in paths] == ["a", "b"]
+
     def test_latest_picks_newest(self, tmp_manifests):
         first = RunManifest(label="first")
         first.write(tmp_manifests / "run-1.json")

@@ -72,13 +72,16 @@ class TestStoreLoad:
 
 
 class TestRunBenchmark:
-    def test_cache_hit_reproduces(self, tmp_cache):
+    def test_cache_hit_reproduces(self, tmp_cache, store_lookups):
+        key = ResultStore.cell_key("noop", "baseline", 3000, 500)
         a = run_benchmark("noop", "baseline", instructions=3000, warmup=500)
         store = result_cache.open_store()
-        assert (len(store), store.info()["hits"]) == (1, 0)
+        assert (len(store), store_lookups) == (1, [(key, False)])
         b = run_benchmark("noop", "baseline", instructions=3000, warmup=500)
         assert a.to_dict() == b.to_dict()
-        assert (len(store), store.info()["hits"]) == (1, 1)
+        # one more lookup, a hit, and no new row: nothing simulated
+        assert (len(store), store_lookups) == (1, [(key, False),
+                                                   (key, True)])
         assert not list(tmp_cache.rglob("*.tmp"))
 
     def test_no_cache_flag(self, tmp_cache):

@@ -3,8 +3,8 @@
 The two tests ISSUE-level acceptance hangs on live here:
 
 * ``test_warm_rerun_performs_zero_simulations`` — a second run of an
-  unchanged sweep resolves every cell from the durable store; the
-  store's ``hits`` counter (which only ``get`` bumps) proves each cell
+  unchanged sweep resolves every cell from the durable store: counted
+  ``ResultStore.get`` calls and an unchanged row count prove each cell
   cost exactly one index lookup and zero simulations.
 * ``test_config_edit_reexecutes_exactly_dirty_cells`` — flipping one
   MachineConfig field re-runs only the cells whose run keys it touched;
@@ -13,12 +13,16 @@ The two tests ISSUE-level acceptance hangs on live here:
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import sqlite3
 
 import pytest
 
 from repro.service.store import ResultStore
 from repro.simulator import cache as result_cache
+from repro.simulator import manifest
 from repro.simulator.runner import run_benchmark, run_suite_parallel
 from repro.sweeps import (
     compile_spec,
@@ -65,30 +69,36 @@ class TestIncremental:
         for cell in plan.cells:
             assert cell.key in sandbox
 
-    def test_warm_rerun_performs_zero_simulations(self, sandbox):
+    def test_warm_rerun_performs_zero_simulations(self, sandbox,
+                                                  store_lookups):
         plan = plan_for()
         run_sweep(plan, store=sandbox, jobs=2, state_path="")
-        before = sandbox.info()
-        assert before["hits"] == 0  # puts and __contains__ don't count hits
+        rows = len(sandbox)
+        store_lookups.clear()
 
         report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
 
         assert report.counts == {"total": 4, "store": 4,
                                  "executed": 0, "failed": 0}
-        after = sandbox.info()
-        assert after["hits"] == before["hits"] + len(plan.cells)
-        assert after["rows"] == before["rows"]  # nothing new computed
+        # one lookup per cell, each a hit, and nothing new computed
+        assert sorted(store_lookups) == sorted((c.key, True)
+                                               for c in plan.cells)
+        assert len(sandbox) == rows
 
-    def test_store_none_resolves_from_the_default_store(self, sandbox):
+    def test_store_none_resolves_from_the_default_store(self, sandbox,
+                                                        store_lookups):
         plan = plan_for()
         run_sweep(plan, store=None, jobs=2, state_path="")
         default = result_cache.open_store()
         assert all(cell.key in default for cell in plan.cells)
         assert len(sandbox) == 0  # only the store in use is written
+        store_lookups.clear()
         report = run_sweep(plan, store=None, jobs=2, state_path="")
         assert report.counts == {"total": 4, "store": 4,
                                  "executed": 0, "failed": 0}
-        assert default.info()["hits"] == len(plan.cells)
+        assert sorted(store_lookups) == sorted((c.key, True)
+                                               for c in plan.cells)
+        assert len(default) == len(plan.cells)
 
     def test_config_edit_reexecutes_exactly_dirty_cells(self, sandbox):
         base = plan_for()
@@ -196,3 +206,96 @@ class TestReport:
         default = report.results(config_label="default")
         assert set(small) == set(default) == {"noop"}
         assert small["noop"]["baseline"] is not default["noop"]["baseline"]
+
+
+def fail_next_write(monkeypatch, store, where):
+    """Make the store's next cell write fail once: ENOSPC at its blob, or
+    a full disk at its index row after the blob landed."""
+    armed = [True]
+
+    def fire():
+        if not armed:
+            return False
+        armed.clear()
+        return True
+
+    if where == "blob":
+        write_blob = store._write_blob
+
+        def full_disk(payload):
+            if fire():
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_blob(payload)
+
+        monkeypatch.setattr(store, "_write_blob", full_disk)
+        return "No space left"
+
+    class FullIndex:
+        def __init__(self, db):
+            self.db = db
+
+        def execute(self, sql, *params):
+            if sql.startswith("INSERT INTO results") and fire():
+                raise sqlite3.OperationalError("database or disk is full")
+            return self.db.execute(sql, *params)
+
+        def __getattr__(self, name):
+            return getattr(self.db, name)
+
+    monkeypatch.setattr(store, "_db", FullIndex(store._db))
+    return "disk is full"
+
+
+class TestStoreWriteFault:
+    """A failed store write fails its cell; the rest of the grid is kept."""
+
+    @pytest.mark.parametrize("where", ["blob", "index"])
+    def test_sweep_fails_the_cell_and_keeps_the_rest(self, sandbox,
+                                                     monkeypatch, where):
+        plan = plan_for()
+        reason = fail_next_write(monkeypatch, sandbox, where)
+        report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
+
+        assert report.counts == {"total": 4, "store": 0,
+                                 "executed": 3, "failed": 1}
+        ((victim, error),) = report.failed.items()
+        assert error.startswith("store write failed: ") and reason in error
+        assert sandbox.get(victim) is None
+        for key, (_, source, stats, _, _) in report.outcomes.items():
+            if key != victim:
+                assert sandbox.get(key).to_dict() == stats.to_dict()
+
+        again = run_sweep(plan, store=sandbox, jobs=2, state_path="")
+        assert again.counts == {"total": 4, "store": 3,
+                                "executed": 1, "failed": 0}
+        assert again.outcomes[victim][1] == "executed"
+
+    @pytest.mark.parametrize("where", ["blob", "index"])
+    def test_suite_fails_after_its_manifest_and_keeps_the_rest(
+            self, sandbox, monkeypatch, tmp_path, where):
+        monkeypatch.delenv("REPRO_NO_MANIFEST")
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        grid = dict(policies=["baseline", "pdip_44"],
+                    benchmarks=["noop", "tatp"], instructions=2000,
+                    warmup=300, jobs=2, store=sandbox)
+        reason = fail_next_write(monkeypatch, sandbox, where)
+        with pytest.raises(RuntimeError,
+                           match=r"^1 grid cell\(s\) failed.*store write"):
+            run_suite_parallel(**grid)
+
+        cells = manifest.load(manifest.latest())["cells"]
+        (victim,) = [c for c in cells if c["status"] == "failed"]
+        assert victim["error"].startswith("store write failed: ")
+        assert reason in victim["error"]
+        assert sandbox.get(victim["key"]) is None
+        kept = [c["key"] for c in cells if c is not victim]
+        assert len(kept) == 3
+        assert all(sandbox.get(key) is not None for key in kept)
+
+        results = run_suite_parallel(**grid)
+        rerun = manifest.load(manifest.latest())["cells"]
+        assert {c["key"]: c["worker"] == "store" for c in rerun} == {
+            c["key"]: c is not victim for c in cells}
+        for c in rerun:
+            stats = results[c["benchmark"]][c["policy"]]
+            assert sandbox.get(c["key"]).to_dict() == stats.to_dict()

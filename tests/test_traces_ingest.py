@@ -176,14 +176,6 @@ class TestRunKeyIdentity:
 
 
 class TestStoreTraceTable:
-    def test_blobs_survive_gc_and_prune(self, tmp_path):
-        path = str(write_jsonl_file(tmp_path / "t.jsonl"))
-        store = ResultStore(str(tmp_path / "store"))
-        report = ingest_path(path, store=store, name="unit")
-        store.prune(max_rows=0)
-        store.gc_blobs()
-        assert store.get_trace(report.digest) is not None
-
     def test_info_counts_traces(self, tmp_path):
         path = str(write_jsonl_file(tmp_path / "t.jsonl"))
         store = ResultStore(str(tmp_path / "store"))
