@@ -5,14 +5,14 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.simulator.config import MachineConfig
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
     resolve_jobs,
-    run_suite_parallel,
 )
 from repro.simulator.stats import SimulationStats
+from repro.sweeps import executor, plan
+from repro.sweeps.spec import DEFAULT_CONFIG, ConfigVariant, SweepSpec
 from repro.utils import geomean
 from repro.workloads.profiles import BENCHMARK_NAMES
 
@@ -59,22 +59,38 @@ def jobs(value: Optional[int] = None) -> int:
 
 def collect(policies: Sequence[str], benchmarks: Sequence[str],
             instructions: int, warmup: int, seed: int = 1,
-            config: Optional[MachineConfig] = None,
+            config: Optional[Dict[str, object]] = None,
             n_jobs: Optional[int] = None,
             ) -> Dict[str, Dict[str, SimulationStats]]:
     """{benchmark: {policy: stats}} through the default result store.
 
-    Dispatches the grid via
-    :func:`~repro.simulator.runner.run_suite_parallel` — cells fan out
-    across ``n_jobs`` worker processes (default: the ``REPRO_JOBS``
-    env, else serial) and every call emits a run manifest.
+    The grid compiles to a sweep plan that
+    :func:`~repro.sweeps.executor.run_sweep` resolves: each cell is
+    looked up once in the store, and only the misses simulate, across
+    ``n_jobs`` worker processes (default: the ``REPRO_JOBS`` env, else
+    serial). It writes no sweep state file and no run manifest.
+    ``config`` holds :class:`~repro.simulator.config.MachineConfig`
+    overrides, as a sweep spec's config table does (None: the default
+    machine). The result is in the requested benchmark x policy order;
+    a cell that fails raises ``RuntimeError`` naming it.
     ``repro figure --store DIR`` roots the store at ``DIR`` through the
     ``REPRO_STORE`` env (see DESIGN.md §13).
     """
-    return run_suite_parallel(
-        policies, benchmarks=benchmarks, instructions=instructions,
-        warmup=warmup, config=config, seed=seed, jobs=jobs(n_jobs),
-        label="experiment")
+    variant = (ConfigVariant(label="config", overrides=dict(config))
+               if config else DEFAULT_CONFIG)
+    grid = plan.compile_spec(SweepSpec(
+        name="figure", benchmarks=tuple(benchmarks),
+        policies=tuple(policies), configs=(variant,), seeds=(seed,),
+        instructions=(instructions,), warmups=(warmup,)))
+    report = executor.run_sweep(grid, jobs=jobs(n_jobs), state_path="")
+    failed = [(cell, error) for cell, source, _, error, _
+              in report.outcomes.values() if source == "failed"]
+    if failed:
+        detail = "; ".join("%s (%s): %s" % (cell.benchmark, cell.policy, error)
+                           for cell, error in failed[:5])
+        raise RuntimeError("%d grid cell(s) failed: %s"
+                           % (len(failed), detail))
+    return report.results()
 
 
 def speedup_pct(stats: SimulationStats, baseline: SimulationStats) -> float:

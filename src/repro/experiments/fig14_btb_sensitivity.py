@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 
 from repro.branch.btb import BTB
 from repro.experiments import common
-from repro.simulator.config import MachineConfig
 from repro.utils import geomean
 
 BTB_SIZES = (4096, 8192, 65536)
@@ -39,9 +38,9 @@ def run(instructions: Optional[int] = None, warmup: Optional[int] = None,
     gains = {}   # {btb: {policy: geomean % gain}}
     ipcs = {}    # {btb: {policy/baseline: {bench: ipc}}}
     for entries in btb_sizes:
-        config = MachineConfig(btb_entries=entries)
         grid = common.collect(("baseline",) + POLICIES, benches,
-                              instructions, warmup, seed=seed, config=config)
+                              instructions, warmup, seed=seed,
+                              config={"btb_entries": entries})
         per_policy = {policy: {bench: grid[bench][policy].ipc
                                for bench in benches}
                       for policy in ("baseline",) + POLICIES}

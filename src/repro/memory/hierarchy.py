@@ -32,7 +32,7 @@ from repro.telemetry.handle import NULL_RECORDER
 from repro.utils import SLOTTED
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyConfig:
     """Sizes/latencies for the three levels.
 
@@ -43,6 +43,8 @@ class HierarchyConfig:
     drive every result — footprint >> L1-I (~50-100x) and live set > L2 —
     at instruction budgets a pure-Python simulator can run.
     Use :meth:`paper_table1` for the unscaled reference geometry.
+    Frozen, as the :class:`~repro.simulator.config.MachineConfig` that
+    holds it is, so a machine config is an immutable, hashable value.
     """
 
     l1i_size_kb: int = 8

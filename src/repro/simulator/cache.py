@@ -59,7 +59,7 @@ from typing import Dict, Optional, Tuple
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import PolicySpec, get_policy
 from repro.simulator.stats import SimulationStats
-from repro.utils import canonical_digest, freeze
+from repro.utils import canonical_digest, canonical_json, json_digest
 from repro.workloads.profiles import get_profile
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".repro-results"
@@ -81,27 +81,57 @@ def cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", str(_DEFAULT_DIR)))
 
 
+#: canonical JSON of the profiles, policy specs and machine configs
+#: that run keys have frozen, keyed by value through ``repr``: a
+#: dataclass's repr spells out every field, nested ones too, and unlike
+#: ``==`` it tells 1, 1.0 and True apart, so two values share an entry
+#: only if they freeze alike. Freezing is most of a key's cost. Threads
+#: may race on it unlocked: an entry is a pure function of its key.
+_FROZEN: Dict[str, str] = {}
+#: entries the memo holds before it starts over (a long-lived server
+#: meets new configs for as long as it runs)
+_FROZEN_MAX = 4096
+#: the frozen default machine, which most cells run on
+_DEFAULT_CONFIG_JSON = canonical_json(MachineConfig())
+
+#: the run-key payload as canonical JSON, its fields in sorted order
+_RUN_KEY_JSON = ('{"benchmark": %s, "config": %s, "instructions": %s, '
+                 '"profile": %s, "seed": %s, "spec": %s, "version": %s, '
+                 '"warmup": %s}')
+
+
+def _frozen_json(value) -> str:
+    """:func:`~repro.utils.canonical_json` of ``value``, memoized."""
+    memo = repr(value)
+    text = _FROZEN.get(memo)
+    if text is None:
+        if len(_FROZEN) >= _FROZEN_MAX:
+            _FROZEN.clear()
+        text = _FROZEN[memo] = canonical_json(value)
+    return text
+
+
 def run_key(benchmark: str, spec: PolicySpec, instructions: int, warmup: int,
             seed: int, config: Optional[MachineConfig]) -> str:
     """Stable hash of everything that determines a run's outcome.
 
     This is the one cell identity in the system: the store's primary
-    key and the manifest ``key`` column are both this digest (see
-    :func:`repro.utils.canonical_digest`).
+    key and the manifest ``key`` column are both this digest, the
+    :func:`repro.utils.canonical_digest` of ``{benchmark, profile, spec,
+    instructions, warmup, seed, config, version}``. The full profile is
+    part of it, so retuning a benchmark (or re-registering a trace name
+    to another trace) invalidates its stored runs.
     """
-    payload = {
-        "benchmark": benchmark,
-        # include the full profile so retuning a benchmark invalidates
-        # its stored runs
-        "profile": freeze(get_profile(benchmark)),
-        "spec": freeze(spec),
-        "instructions": instructions,
-        "warmup": warmup,
-        "seed": seed,
-        "config": freeze(config if config is not None else MachineConfig()),
-        "version": RUN_KEY_VERSION,
-    }
-    return canonical_digest(payload)
+    # the scalars are their own frozen form
+    return json_digest(_RUN_KEY_JSON % (
+        json.dumps(benchmark),
+        (_DEFAULT_CONFIG_JSON if config is None else _frozen_json(config)),
+        json.dumps(instructions),
+        _frozen_json(get_profile(benchmark)),
+        json.dumps(seed),
+        _frozen_json(spec),
+        json.dumps(RUN_KEY_VERSION),
+        json.dumps(warmup)))
 
 
 def _now() -> float:

@@ -7,14 +7,18 @@ and predictors. :func:`get_layout` memoizes the generated layouts —
 simulation never mutates a layout, so sharing one object is safe.
 
 Grids are embarrassingly parallel: every cell is an independent
-simulation. :func:`run_suite_parallel` fans the cells of a grid out
-across a :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicates
-cells against the result store (and against identical cells within the
-same grid) before dispatch, retries transient worker failures with
-bounded backoff, and emits a JSON run manifest
-(:mod:`repro.simulator.manifest`) recording per-cell wall time, store
-hit/miss, and worker id. :func:`run_suite` is the serial path — the
-same machinery with ``jobs=1`` — and produces bit-identical stats.
+simulation. :func:`execute_cells` runs a grid's store misses across a
+:class:`~concurrent.futures.ProcessPoolExecutor`, retrying transient
+worker failures with bounded backoff; it is the local pool of the sweep
+executor (:mod:`repro.sweeps.executor`), through which the figure
+drivers resolve their grids without writing a run manifest.
+:func:`run_suite_parallel`, behind ``repro suite``, runs a grid on the
+same pool after deduplicating its cells against the result store (and
+against identical cells within the grid), and emits a JSON run
+manifest (:mod:`repro.simulator.manifest`) recording per-cell wall
+time, store hit/miss, and worker id. :func:`run_suite` is its serial
+path — the same machinery with ``jobs=1`` — and produces bit-identical
+stats.
 
 The worker count resolves explicit argument > ``REPRO_JOBS`` env >
 serial (see :func:`resolve_jobs`).
@@ -119,10 +123,11 @@ def run_benchmark(benchmark: str, policy: str,
 
     profile = get_profile(benchmark)
     spec = get_policy(policy) if isinstance(policy, str) else policy
-    key = result_cache.run_key(benchmark, spec, instructions, warmup, seed,
-                               config)
     if store is None and use_cache:
         store = result_cache.open_store()
+    # a pool worker (no store, no lookup) never needs the key
+    key = (result_cache.run_key(benchmark, spec, instructions, warmup, seed,
+                                config) if store is not None else "")
     if use_cache and telemetry is None:
         hit = store.get(key)
         if hit is not None:
@@ -245,11 +250,13 @@ def run_suite_parallel(policies: Sequence[str],
                        retries: int = DEFAULT_RETRIES,
                        verbose: bool = False,
                        manifest: Optional[RunManifest] = None,
-                       label: str = "suite",
                        store=None,
                        ) -> Dict[str, Dict[str, SimulationStats]]:
     """Run a (benchmark x policy) grid across a process pool.
 
+    The grid runner of ``repro suite``; the figure drivers resolve their
+    grids through the sweep executor instead (see
+    :func:`repro.experiments.common.collect`).
     Returns ``{benchmark: {policy: stats}}``, exactly like
     :func:`run_suite` and with field-identical stats. Before dispatch,
     each cell's run key is looked up once in the result store: hits are
@@ -282,7 +289,7 @@ def run_suite_parallel(policies: Sequence[str],
     jobs = resolve_jobs(jobs, default=os.cpu_count() or 1)
     own_manifest = manifest is None
     if manifest is None:
-        manifest = RunManifest(label=label, jobs=jobs)
+        manifest = RunManifest(jobs=jobs)
     else:
         manifest.jobs = max(manifest.jobs, jobs)
     cfg_hash = config_hash(config)

@@ -67,6 +67,7 @@ class SweepReport:
         self.name = plan.name
         self.plan_digest = plan.digest
         self.total = len(plan.cells)
+        self._cells = plan.cells
         #: key -> (cell, source, stats | None, error, wall_time)
         self.outcomes: Dict[str, Tuple[PlanCell, str, Optional[SimulationStats],
                                        str, float]] = {}
@@ -95,12 +96,14 @@ class SweepReport:
                 ) -> Dict[str, Dict[str, SimulationStats]]:
         """``{benchmark: {policy: stats}}`` — the figure-cell shape.
 
-        Optional filters select one config variant / seed when the sweep
-        has those axes; without them later cells win the (bench, policy)
-        slot, exactly like iterating the grid in plan order.
+        In plan order, however the cells resolved. Optional filters
+        select one config variant / seed when the sweep has those axes;
+        without them later cells win the (bench, policy) slot.
         """
         out: Dict[str, Dict[str, SimulationStats]] = {}
-        for cell, _, stats, _, _ in self.outcomes.values():
+        for cell in self._cells:
+            outcome = self.outcomes.get(cell.key)
+            stats = outcome[2] if outcome is not None else None
             if stats is None:
                 continue
             if config_label is not None and cell.config_label != config_label:
@@ -367,11 +370,11 @@ def run_sweep(plan: SweepPlan, store=None,
         state_file = sweep_state_path(plan)
     elif str(state_path):
         state_file = Path(state_path)
-    state = load_state(state_file, plan) if state_file else {
-        "schema": _STATE_SCHEMA, "name": plan.name,
-        "plan_digest": plan.digest, "done": {}, "failed": {}}
+    state = load_state(state_file, plan) if state_file is not None else None
 
     def checkpoint() -> None:
+        if state is None:  # no state file
+            return
         for key, (_, source, _, error, _) in report.outcomes.items():
             if source == "failed":
                 state["failed"][key] = error
@@ -379,8 +382,7 @@ def run_sweep(plan: SweepPlan, store=None,
             else:
                 state["done"][key] = source
                 state["failed"].pop(key, None)
-        if state_file is not None:
-            _write_state(state_file, state)
+        _write_state(state_file, state)
 
     feed = _DashFeed(client, plan)
     dirty: List[PlanCell] = []

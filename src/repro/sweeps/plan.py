@@ -23,13 +23,14 @@ computation; duplicate keys keep the first occurrence.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.service.jobs import config_from_payload
 from repro.simulator.cache import ResultStore
 from repro.sweeps.spec import ConfigVariant, SweepSpec
-from repro.utils import canonical_digest, freeze
+from repro.utils import freeze, json_digest
 
 __all__ = ["PlanCell", "SweepPlan", "compile_spec"]
 
@@ -154,7 +155,7 @@ def compile_spec(spec: SweepSpec) -> SweepPlan:
     """Compile a validated spec into its deterministic plan."""
     cells: List[PlanCell] = []
     seen_keys: Dict[str, None] = {}
-    shape_rows: List[Tuple[Any, ...]] = []
+    shape_rows: List[Dict[str, Any]] = []
     for cell in _expand(spec):
         config: ConfigVariant = cell["config"]
         key = ResultStore.cell_key(
@@ -164,18 +165,21 @@ def compile_spec(spec: SweepSpec) -> SweepPlan:
         if key in seen_keys:
             continue
         seen_keys.setdefault(key)
-        shape_rows.append(freeze({
+        # frozen as built: the other axis values are scalars
+        shape_rows.append({
             "benchmark": cell["benchmark"],
             "policy": cell["policy"],
             "seed": cell["seed"],
             "instructions": cell["instructions"],
             "warmup": cell["warmup"],
-            "config": config.overrides or None,
-        }))
+            "config": freeze(config.overrides or None),
+        })
         cells.append(PlanCell(
             benchmark=cell["benchmark"], policy=cell["policy"],
             seed=cell["seed"], instructions=cell["instructions"],
             warmup=cell["warmup"], config=config.as_payload(),
             config_label=config.label, key=key))
-    digest = canonical_digest(("sweep-plan", 1, spec.name, tuple(shape_rows)))
+    # canonical_digest(("sweep-plan", 1, name, rows)), frozen only once
+    digest = json_digest(json.dumps(["sweep-plan", 1, spec.name, shape_rows],
+                                    sort_keys=True))
     return SweepPlan(name=spec.name, digest=digest, cells=tuple(cells))

@@ -89,6 +89,22 @@ def freeze(obj):
     return obj
 
 
+def canonical_json(payload) -> str:
+    """The canonical JSON text of ``payload``: what
+    :func:`canonical_digest` hashes."""
+    return json.dumps(freeze(payload), sort_keys=True)
+
+
+def json_digest(text: str) -> str:
+    """SHA-1 hex digest of canonical JSON text.
+
+    For callers that assemble the text from parts already in canonical
+    form, so nothing is frozen or serialized twice; the digest equals
+    :func:`canonical_digest` of the payload the text spells out.
+    """
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
 def canonical_digest(payload) -> str:
     """SHA-1 hex digest of the canonical JSON form of ``payload``.
 
@@ -97,8 +113,7 @@ def canonical_digest(payload) -> str:
     both reduce to this function, so a cell's
     digest is stable across subsystems (and pinned by a golden test).
     """
-    blob = json.dumps(freeze(payload), sort_keys=True).encode()
-    return hashlib.sha1(blob).hexdigest()
+    return json_digest(canonical_json(payload))
 
 
 def geomean(values) -> float:

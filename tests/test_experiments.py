@@ -19,6 +19,11 @@ from repro.experiments import (
     tab04_ppki_accuracy,
     tab05_energy_area,
 )
+from repro.simulator import runner
+from repro.simulator.cache import run_key
+from repro.simulator.config import MachineConfig
+from repro.simulator.policies import get_policy
+from repro.simulator.runner import run_benchmark
 
 TINY = dict(instructions=6000, warmup=1500)
 BENCHES = ["noop", "sibench"]
@@ -58,6 +63,55 @@ class TestCommon:
         text = common.format_table(["a", "bb"], [["x", 1.5], ["yy", 2]],
                                    title="T")
         assert "T" in text and "x" in text and "1.50" in text
+
+
+class TestCollect:
+    """``collect`` resolves a figure's grid through the sweep executor."""
+
+    def test_result_order_is_the_requested_order(self):
+        benches, policies = ["noop", "sibench"], ["pdip_44", "baseline"]
+        # the store already holds the later cells, not the first ones
+        for bench, policy in (("sibench", "pdip_44"), ("sibench", "baseline"),
+                              ("noop", "baseline")):
+            run_benchmark(bench, policy, **TINY)
+        grid = common.collect(policies, benches, TINY["instructions"],
+                              TINY["warmup"])
+        assert list(grid) == benches
+        assert [list(row) for row in grid.values()] == [policies, policies]
+
+    def test_failing_cell_raises_naming_it(self, monkeypatch):
+        simulate = runner.run_benchmark
+
+        def flaky(benchmark, policy, **kwargs):
+            if (benchmark, policy.name) == ("noop", "pdip_44"):
+                raise ValueError("injected failure")
+            return simulate(benchmark, policy, **kwargs)
+
+        monkeypatch.setattr(runner, "run_benchmark", flaky)
+        with pytest.raises(RuntimeError) as failure:
+            common.collect(["baseline", "pdip_44"], ["noop"],
+                           TINY["instructions"], TINY["warmup"])
+        message = str(failure.value)
+        assert message.startswith("1 grid cell(s) failed: noop (pdip_44): ")
+        assert "injected failure" in message
+
+    def test_figure_writes_no_state_file_or_manifest(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+        monkeypatch.delenv("REPRO_NO_MANIFEST", raising=False)
+        fig09_mpki.run(benchmarks=BENCHES, **TINY)  # cold
+        fig09_mpki.run(benchmarks=BENCHES, **TINY)  # warm
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+    def test_fig14_keys_are_the_machine_config_keys(self, store_lookups):
+        sizes = (2048, 4096)
+        fig14_btb_sensitivity.run(benchmarks=["noop"], btb_sizes=sizes,
+                                  **TINY)
+        policies = ("baseline",) + fig14_btb_sensitivity.POLICIES
+        want = [run_key("noop", get_policy(policy), TINY["instructions"],
+                        TINY["warmup"], 1, MachineConfig(btb_entries=entries))
+                for entries in sizes for policy in policies]
+        assert [key for key, _ in store_lookups] == want
 
 
 class TestSlowFigures:

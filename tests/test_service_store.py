@@ -9,17 +9,25 @@ pinned golden-cell digest that locks the canonical cell key.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import sqlite3
 
 import pytest
 
+from repro.memory.hierarchy import HierarchyConfig
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 from repro.simulator import cache as result_cache
 from repro.simulator import runner as runner_mod
 from repro.simulator.config import MachineConfig
+from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import run_benchmark, run_suite_parallel
 from repro.simulator.stats import SimulationStats
+from repro.traces import registry
+from repro.traces.ingest import IngestReport
+from repro.utils import canonical_digest, freeze
+from repro.workloads import profiles
 
 #: canonical key of the golden cell pinned in tests/test_golden_stats.py
 #: (tatp / pdip_44 / seed 1 / 30000 instr / 6000 warmup). If this moves,
@@ -73,6 +81,101 @@ class TestCellKey:
         assert ResultStore.cell_key("noop", "baseline", 100, 10, seed=2) == \
             result_cache.run_key("noop", get_policy("baseline"), 100, 10, 2,
                                  None)
+
+
+def unmemoized_run_key(benchmark, spec, instructions, warmup, seed, config):
+    """The run key as the canonical digest of its whole payload, every
+    part frozen afresh: what a memoized key must always equal."""
+    return canonical_digest({
+        "benchmark": benchmark,
+        "profile": freeze(profiles.get_profile(benchmark)),
+        "spec": freeze(spec),
+        "instructions": instructions,
+        "warmup": warmup,
+        "seed": seed,
+        "config": freeze(config if config is not None else MachineConfig()),
+        "version": result_cache.RUN_KEY_VERSION,
+    })
+
+
+MEMO_CONFIGS = {
+    "default": None,
+    "btb_entries=4096": MachineConfig(btb_entries=4096),
+    "hierarchy.l1i_size_kb=16": MachineConfig(
+        hierarchy=HierarchyConfig(l1i_size_kb=16)),
+}
+
+
+class TestRunKeyMemo:
+    """``run_key`` memoizes the frozen profile, spec and config by value;
+    no hit of that memo may ever yield another payload's key."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(result_cache, "_FROZEN", {})
+
+    @staticmethod
+    def key(bench, spec, config=None):
+        return result_cache.run_key(bench, spec, 30000, 6000, 2, config)
+
+    @pytest.mark.parametrize("config", sorted(MEMO_CONFIGS))
+    @pytest.mark.parametrize("bench", ["tatp", "cassandra", "trace-phase"])
+    def test_every_key_is_its_payload_digest(self, bench, config):
+        machine = MEMO_CONFIGS[config]
+        for name, spec in POLICIES.items():
+            want = unmemoized_run_key(bench, spec, 30000, 6000, 2, machine)
+            # first call, repeat call, and a repeat with equal copies,
+            # which only a memo keyed by value serves
+            for args in ((spec, machine), (spec, machine),
+                         (copy.deepcopy(spec), copy.deepcopy(machine))):
+                assert self.key(bench, *args) == want, name
+
+    def test_equal_values_of_other_types_keep_their_keys(self):
+        # 4096 == 4096.0 and 1 == True, yet each freezes to other JSON
+        pairs = [(MachineConfig(btb_entries=4096),
+                  MachineConfig(btb_entries=4096.0)),
+                 (MachineConfig(hierarchy=HierarchyConfig(itlb_enabled=True)),
+                  MachineConfig(hierarchy=HierarchyConfig(itlb_enabled=1)))]
+        spec = get_policy("baseline")
+        for first, second in pairs:
+            assert first == second
+            keys = [self.key("tatp", spec, c) for c in (first, second)]
+            assert keys == [unmemoized_run_key("tatp", spec, 30000, 6000, 2, c)
+                            for c in (first, second)]
+            assert keys[0] != keys[1]
+
+    def test_same_name_other_pdip_overrides(self):
+        base = get_policy("pdip_44")
+        specs = [base,
+                 dataclasses.replace(base, pdip_overrides={"use_path_info":
+                                                           True}),
+                 dataclasses.replace(base, pdip_overrides={"use_path_info":
+                                                           False})]
+        keys = [self.key("tatp", spec) for spec in specs + specs]
+        assert len(set(keys)) == 3
+        assert keys == [unmemoized_run_key("tatp", spec, 30000, 6000, 2, None)
+                        for spec in specs + specs]
+
+    def test_re_registered_trace_name_gets_a_new_key(self, tmp_path,
+                                                     monkeypatch):
+        # registrations of this test stay out of the process's catalogs
+        monkeypatch.setattr(profiles, "_EXTERNAL", dict(profiles._EXTERNAL))
+        monkeypatch.setattr(registry, "_SPECS", dict(registry._SPECS))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        spec = get_policy("pdip_44")
+        keys = []
+        for trace in ("first", "second", "first"):
+            report = IngestReport(
+                source=trace + ".jsonl", format="jsonl",
+                digest=canonical_digest(trace), source_sha="", created=True,
+                events=10, instructions=40, downsample=None)
+            registry.register_ingested("memo-trace", report, budget=1000,
+                                       window=64)
+            keys.append(self.key("memo-trace", spec))
+            assert keys[-1] == unmemoized_run_key("memo-trace", spec, 30000,
+                                                  6000, 2, None)
+        assert keys[0] != keys[1]
+        assert keys[2] == keys[0]
 
 
 class TestPutGet:

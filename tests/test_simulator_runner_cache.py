@@ -89,6 +89,22 @@ class TestRunBenchmark:
                       use_cache=False)
         assert len(result_cache.open_store()) == 0
 
+    def test_key_computed_only_for_a_store(self, tmp_cache, monkeypatch):
+        calls = []
+        key = result_cache.run_key
+
+        def counted(*args):
+            calls.append(args)
+            return key(*args)
+
+        monkeypatch.setattr(result_cache, "run_key", counted)
+        cell = dict(instructions=2000, warmup=300)
+        # a pool worker's call: no lookup, no write, so no key
+        run_benchmark("noop", "baseline", use_cache=False, **cell)
+        assert calls == []
+        run_benchmark("noop", "baseline", **cell)
+        assert len(calls) == 1
+
     def test_no_cache_writes_only_a_store_passed_in(self, tmp_cache):
         with ResultStore(tmp_cache / "other") as other:
             run_benchmark("noop", "baseline", instructions=2000, warmup=300,

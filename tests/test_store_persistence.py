@@ -1,12 +1,14 @@
 """The result store as the one persistent record, read without writing.
 
-* A warm figure run over a copy of the committed store leaves every
-  byte of it as it was: lookups and opens only read.
+* A warm figure run over a copy of the committed store simulates
+  nothing and leaves every byte of the store as it was: lookups and
+  opens only read.
 * Trace benchmark names registered by ``repro ingest --register`` are
   rows of the store that holds their blobs: concurrent registrations
   keep every name, and ``--store`` selects which names a command knows.
 
-Every check runs ``repro`` in fresh processes, as a user would.
+The trace-name checks run ``repro`` in fresh processes, as a user would;
+the warm figure runs in this one, so that a simulation can be caught.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import fig10_speedup
 from repro.service.store import ResultStore
+from repro.simulator.cache import open_store
+from repro.sweeps import executor
 from tests.test_traces_ingest import write_jsonl_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,28 +83,35 @@ def nonblank(text: str):
 
 
 class TestReadsNeverWrite:
-    def test_warm_figure_leaves_the_store_byte_identical(self, tmp_path):
+    def test_warm_figure_leaves_the_store_byte_identical(self, tmp_path,
+                                                         monkeypatch):
         store = tmp_path / "store"
         shutil.copytree(ROOT / ".repro-results" / "store", store,
                         ignore=shutil.ignore_patterns("*-wal", "*-shm",
                                                       "*.tmp"))
         before = snapshot(store)
+        for name in ("REPRO_BENCHMARKS", "REPRO_INSTRUCTIONS", "REPRO_WARMUP",
+                     "REPRO_JOBS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_STORE", str(store))
 
-        out = python(["-m", "repro", "figure", "fig10", "--store",
-                      str(store)], repro_env(tmp_path))
+        def simulate(*args, **kwargs):
+            raise AssertionError("a warm figure dispatched cells to simulate")
 
-        assert out.returncode == 0, out.stderr
-        wal = store / "store.sqlite-wal"
-        assert not wal.exists() or wal.stat().st_size == 0
+        # every store miss of the figure's grids goes through here
+        monkeypatch.setattr(executor, "execute_cells", simulate)
+        try:
+            text = fig10_speedup.render(fig10_speedup.run())
+            wal = store / "store.sqlite-wal"
+            assert not wal.exists() or wal.stat().st_size == 0
+        finally:
+            open_store().close()
+
         after = snapshot(store)
         assert sorted(after) == sorted(before)  # no blob added or removed
         assert after == before
-        (path,) = (tmp_path / "cache" / "manifests").glob("run-*.json")
-        cells = json.loads(path.read_text())["cells"]
-        assert len(cells) == 128
-        assert all(c["cache_hit"] and c["worker"] == "store" for c in cells)
         figure = ROOT / "benchmarks" / "output" / "fig10_speedup.txt"
-        assert nonblank(out.stdout) == nonblank(figure.read_text())
+        assert nonblank(text) == nonblank(figure.read_text())
 
 
 class TestTraceNames:
