@@ -32,12 +32,7 @@ from repro.simulator.policies import (
     build_machine_for,
     get_policy,
 )
-from repro.simulator.runner import (
-    run_benchmark,
-    run_suite,
-    run_suite_parallel,
-    speedup,
-)
+from repro.simulator.runner import run_benchmark, speedup
 from repro.simulator.stats import SimulationStats
 from repro.workloads.profiles import (
     BENCHMARK_NAMES,
@@ -63,8 +58,6 @@ __all__ = [
     "build_machine_for",
     "get_policy",
     "run_benchmark",
-    "run_suite",
-    "run_suite_parallel",
     "speedup",
     "SimulationStats",
     "BENCHMARK_NAMES",

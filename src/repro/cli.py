@@ -61,10 +61,9 @@ from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
+    resolve_jobs,
     run_benchmark,
-    run_suite_parallel,
 )
-from repro.utils import geomean
 from repro.workloads.profiles import (
     BENCHMARK_NAMES,
     external_benchmark_names,
@@ -102,6 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("benchmark", choices=known_benchmark_names())
     p_run.add_argument("policy", choices=sorted(POLICIES))
     _budget_args(p_run)
+    p_run.add_argument("--no-cache", action="store_true",
+                       help="skip the store lookup and simulate (the "
+                            "result is still stored)")
     _store_arg(p_run)
     p_run.add_argument("--stats-out", default=None, metavar="PATH",
                        help="also write the stats as a JSON run dump "
@@ -117,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--policies", default="baseline,pdip_44",
                          help="comma-separated policy names")
     _budget_args(p_suite)
-    _jobs_arg(p_suite)
+    _jobs_arg(p_suite, "all cores")
     _store_arg(p_suite)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper artifact")
     p_fig.add_argument("figure", choices=sorted(FIGURES) + ["all"])
-    _jobs_arg(p_fig)
+    _jobs_arg(p_fig, "serial")
     _store_arg(p_fig)
 
     p_bench = sub.add_parser(
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_verb.add_argument("--cells", action="store_true",
                                 help="list every compiled cell")
         if verb == "run":
-            _jobs_arg(p_verb)
+            _jobs_arg(p_verb, "all cores")
             p_verb.add_argument("--endpoint", default=None,
                                 metavar="HOST:PORT",
                                 help="submit dirty cells to a running "
@@ -369,13 +371,12 @@ def _budget_args(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_INSTRUCTIONS)
     parser.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--no-cache", action="store_true")
 
 
-def _jobs_arg(parser: argparse.ArgumentParser) -> None:
+def _jobs_arg(parser: argparse.ArgumentParser, default: str) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the simulation grid "
-                             "(default: REPRO_JOBS env, else serial)")
+                             "(default: REPRO_JOBS env, else %s)" % default)
 
 
 def _store_arg(parser: argparse.ArgumentParser) -> None:
@@ -452,29 +453,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    """``repro suite``: a benchmark x policy grid."""
+    """``repro suite``: a benchmark x policy grid, with its run manifest."""
+    from repro.experiments.common import collect, geomean_speedup_pct
+    from repro.simulator.manifest import RunManifest
+
     benches = (list(BENCHMARK_NAMES) if args.benchmarks == "all"
                else [b.strip() for b in args.benchmarks.split(",")])
     policies = [p.strip() for p in args.policies.split(",")]
-    from repro.simulator import manifest as manifest_mod
-
-    results = run_suite_parallel(policies, benchmarks=benches,
-                                 instructions=args.instructions,
-                                 warmup=args.warmup, seed=args.seed,
-                                 jobs=args.jobs, verbose=True,
-                                 store=open_store())
-    latest = manifest_mod.latest()
-    if latest is not None:
-        print(f"\nmanifest: {latest}")
+    jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
+    manifest = RunManifest(jobs=jobs)
+    try:
+        results = collect(policies, benches, args.instructions, args.warmup,
+                          seed=args.seed, n_jobs=jobs, manifest=manifest)
+        for bench, by_policy in results.items():
+            for policy, stats in by_policy.items():
+                print(f"{bench:16s} {policy:18s} {stats.summary()}")
+    finally:
+        # a failed cell is on record before its error propagates; a grid
+        # that did not compile (an unknown name) ran nothing to record
+        if manifest.cells:
+            print(f"\nmanifest: {manifest.write()}")
     if "baseline" in policies:
         print()
         for policy in policies:
             if policy == "baseline":
                 continue
-            ratios = [by[policy].ipc / by["baseline"].ipc
-                      for by in results.values()]
             print(f"geomean speedup {policy}: "
-                  f"{(geomean(ratios) - 1) * 100:+.2f}%")
+                  f"{geomean_speedup_pct(results, policy):+.2f}%")
     return 0
 
 

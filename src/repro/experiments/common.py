@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.service.jobs import config_from_payload
+from repro.simulator.manifest import CellRecord, RunManifest, config_hash
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
@@ -61,28 +63,38 @@ def collect(policies: Sequence[str], benchmarks: Sequence[str],
             instructions: int, warmup: int, seed: int = 1,
             config: Optional[Dict[str, object]] = None,
             n_jobs: Optional[int] = None,
+            manifest: Optional[RunManifest] = None,
             ) -> Dict[str, Dict[str, SimulationStats]]:
     """{benchmark: {policy: stats}} through the default result store.
 
-    The grid compiles to a sweep plan that
-    :func:`~repro.sweeps.executor.run_sweep` resolves: each cell is
-    looked up once in the store, and only the misses simulate, across
-    ``n_jobs`` worker processes (default: the ``REPRO_JOBS`` env, else
-    serial). It writes no sweep state file and no run manifest.
+    The one local grid path, behind every figure driver and
+    ``repro suite``: the grid compiles to a sweep plan (duplicate cells
+    collapse to one) that :func:`~repro.sweeps.executor.run_sweep`
+    resolves. Each cell is looked up once in the store, and only the
+    misses simulate, across ``n_jobs`` worker processes (default: the
+    ``REPRO_JOBS`` env, else serial). It writes no sweep state file.
     ``config`` holds :class:`~repro.simulator.config.MachineConfig`
     overrides, as a sweep spec's config table does (None: the default
     machine). The result is in the requested benchmark x policy order;
     a cell that fails raises ``RuntimeError`` naming it.
-    ``repro figure --store DIR`` roots the store at ``DIR`` through the
-    ``REPRO_STORE`` env (see DESIGN.md §13).
+
+    ``manifest`` (``repro suite`` passes one; figures do not) receives
+    one record per plan cell, in plan order, before any failure is
+    raised; writing it is the caller's job. ``repro figure --store DIR``
+    roots the store at ``DIR`` through the ``REPRO_STORE`` env (see
+    DESIGN.md §13).
     """
     variant = (ConfigVariant(label="config", overrides=dict(config))
                if config else DEFAULT_CONFIG)
     grid = plan.compile_spec(SweepSpec(
-        name="figure", benchmarks=tuple(benchmarks),
+        name=manifest.label if manifest is not None else "figure",
+        benchmarks=tuple(benchmarks),
         policies=tuple(policies), configs=(variant,), seeds=(seed,),
         instructions=(instructions,), warmups=(warmup,)))
     report = executor.run_sweep(grid, jobs=jobs(n_jobs), state_path="")
+    if manifest is not None:
+        _record(manifest, grid, report,
+                config_hash(config_from_payload(variant.as_payload())))
     failed = [(cell, error) for cell, source, _, error, _
               in report.outcomes.values() if source == "failed"]
     if failed:
@@ -91,6 +103,25 @@ def collect(policies: Sequence[str], benchmarks: Sequence[str],
         raise RuntimeError("%d grid cell(s) failed: %s"
                            % (len(failed), detail))
     return report.results()
+
+
+def _record(manifest: RunManifest, grid: plan.SweepPlan,
+            report: executor.SweepReport, cfg_hash: str) -> None:
+    """One manifest record per plan cell, from the sweep report."""
+    for cell in grid.cells:
+        _, source, stats, error, wall = report.outcomes[cell.key]
+        # a cell missing from ``runs`` never ran: the store served it
+        worker, attempts, telemetry = report.runs.get(
+            cell.key, ("store", 0, None))
+        manifest.add(CellRecord(
+            benchmark=cell.benchmark, policy=cell.policy, seed=cell.seed,
+            instructions=cell.instructions, warmup=cell.warmup,
+            key=cell.key, config_hash=cfg_hash,
+            cache_hit=source == "store", wall_time=wall, worker=worker,
+            attempts=attempts, status="failed" if source == "failed" else "ok",
+            error=error,
+            stats=dict(stats.counters()) if stats is not None else None,
+            telemetry=telemetry))
 
 
 def speedup_pct(stats: SimulationStats, baseline: SimulationStats) -> float:

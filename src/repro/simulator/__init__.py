@@ -17,7 +17,7 @@ from repro.simulator.policies import (
     build_machine,
     get_policy,
 )
-from repro.simulator.runner import run_benchmark, run_suite, speedup
+from repro.simulator.runner import run_benchmark, speedup
 
 __all__ = [
     "MachineConfig",
@@ -28,6 +28,5 @@ __all__ = [
     "get_policy",
     "build_machine",
     "run_benchmark",
-    "run_suite",
     "speedup",
 ]

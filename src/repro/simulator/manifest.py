@@ -1,18 +1,17 @@
 """Run manifests: per-cell telemetry for suite runs.
 
-Every suite run (serial or parallel, see
-:func:`repro.simulator.runner.run_suite_parallel`) emits one JSON
-manifest describing what actually happened: one record per simulated
-grid cell with its wall time, cache hit/miss, worker id, attempt count,
-seed, and config hash, plus an aggregate summary (hit rate, total
-simulation time, per-worker load). The manifest is the observability
-needed to trust the parallel path — it shows how work was distributed,
-what the cache saved, and which cells were retried.
+Every ``repro suite`` run emits one JSON manifest describing what
+actually happened: one record per grid cell with its wall time, cache
+hit/miss, worker id, attempt count, seed, and config hash, plus an
+aggregate summary (hit rate, total simulation time, per-worker load).
+The records are built from the grid's sweep report (see
+:func:`repro.experiments.common.collect`); the manifest is the
+observability needed to trust the parallel path — it shows how work was
+distributed, what the store saved, and which cells were retried.
 
 Manifests land in ``<cache dir>/manifests`` by default; relocate them
-with ``REPRO_MANIFEST_DIR`` or disable writing with
-``REPRO_NO_MANIFEST=1``. ``python -m repro manifest`` prints the summary
-of the most recent manifest.
+with ``REPRO_MANIFEST_DIR``. ``python -m repro manifest`` prints the
+summary of the most recent manifest.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.utils import canonical_digest
 SCHEMA_VERSION = 2
 
 #: per-process sequence number: one process may write several
-#: manifests within a second (a figure that runs one grid per config)
+#: manifests within a second (a library caller running several grids)
 _SEQUENCE = itertools.count()
 
 
@@ -46,11 +45,6 @@ def manifest_dir() -> Path:
     if env:
         return Path(env)
     return result_cache.cache_dir() / "manifests"
-
-
-def manifests_enabled() -> bool:
-    """False when REPRO_NO_MANIFEST=1."""
-    return os.environ.get("REPRO_NO_MANIFEST", "") != "1"
 
 
 def config_hash(config: Optional[MachineConfig]) -> str:
@@ -139,10 +133,8 @@ class RunManifest:
             "cells": [dataclasses.asdict(c) for c in self.cells],
         }
 
-    def write(self, path: Optional[Path] = None) -> Optional[Path]:
-        """Persist the manifest as JSON; returns the path (None if disabled)."""
-        if not manifests_enabled():
-            return None
+    def write(self, path: Optional[Path] = None) -> Path:
+        """Persist the manifest as JSON; returns the path."""
         self.finished = self.finished or time.time()  # repro: lint-ignore[determinism-wallclock]
         if path is None:
             directory = manifest_dir()

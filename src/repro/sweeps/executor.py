@@ -7,14 +7,16 @@ resolves every cell in two steps:
    :class:`~repro.simulator.cache.ResultStore`; a lookup only reads,
    so a warm re-run writes nothing to the store.
 2. **execute** — the misses are the *dirty set*. They run either
-   on a local process pool (the suite runner's own
-   :func:`~repro.simulator.runner.execute_cells`, so pool/retry
-   semantics — and therefore stats — are identical to
-   ``run_suite_parallel``) or against a running ``repro serve`` via
-   :class:`ServiceClient`, with at most ``max_in_flight``
+   on a local process pool (:func:`~repro.simulator.runner.execute_cells`,
+   in waves of ``4 x jobs`` cells) or against a running ``repro serve``
+   via :class:`ServiceClient`, with at most ``max_in_flight``
    submissions outstanding. A local cell whose store write fails
    (``OSError`` or ``sqlite3.Error``, e.g. a full disk) is recorded as
    failed, as the server fails such a job, and the rest go on.
+
+This is the one grid path: ``repro sweep run``, the figure drivers and
+``repro suite`` (the latter two through
+:func:`repro.experiments.common.collect`) all resolve here.
 
 Progress is durable: after every wave the executor rewrites the plan's
 *state file* (atomic temp+rename, keyed by the plan digest) recording
@@ -26,7 +28,9 @@ aggregated per-(benchmark × policy) progress, so a million-cell sweep
 ships O(grid) — not O(cells) — bytes per update.
 
 The final :class:`SweepReport` is the JSON artifact figure cells
-consume: per-cell source/stats plus aggregate counts.
+consume: per-cell source/stats plus aggregate counts, and, for the cells
+the local pool ran, the worker, attempt count and telemetry summary that
+``repro suite`` writes into its run manifest.
 """
 
 from __future__ import annotations
@@ -71,6 +75,9 @@ class SweepReport:
         #: key -> (cell, source, stats | None, error, wall_time)
         self.outcomes: Dict[str, Tuple[PlanCell, str, Optional[SimulationStats],
                                        str, float]] = {}
+        #: key -> (worker, attempts, telemetry summary | None) of every
+        #: cell the local pool ran, executed or failed
+        self.runs: Dict[str, Tuple[str, int, Optional[dict]]] = {}
 
     def record(self, cell: PlanCell, source: str,
                stats: Optional[SimulationStats], error: str = "",
@@ -235,8 +242,7 @@ class _DashFeed:
 # ----------------------------------------------------------------------
 def _run_local(dirty: List[PlanCell], report: SweepReport, store,
                jobs: Optional[int], retries: int,
-               feed: _DashFeed, checkpoint: Callable[[], None],
-               verbose: bool) -> None:
+               checkpoint: Callable[[], None], verbose: bool) -> None:
     """Execute dirty cells on this machine's process pool, in waves."""
     jobs = resolve_jobs(jobs, default=os.cpu_count() or 1)
     wave_size = max(4 * jobs, 8)
@@ -248,6 +254,7 @@ def _run_local(dirty: List[PlanCell], report: SweepReport, store,
                    for cell in wave}
         computed, attempts, errors = execute_cells(pending, jobs, retries)
         for cell in wave:
+            worker, telemetry = "none", None
             if cell.key in computed:
                 stats, wall, worker, telemetry = computed[cell.key]
                 try:
@@ -263,18 +270,19 @@ def _run_local(dirty: List[PlanCell], report: SweepReport, store,
                     }, telemetry=telemetry)
                 except (OSError, sqlite3.Error) as exc:
                     report.record(cell, "failed", None,
-                                  error="store write failed: %r" % (exc,))
+                                  error="store write failed: %r" % (exc,),
+                                  wall_time=wall)
                 else:
                     report.record(cell, "executed", stats, wall_time=wall)
             else:
                 report.record(cell, "failed", None,
                               error=errors.get(cell.key, "unknown"))
+            report.runs[cell.key] = (worker, attempts[cell.key], telemetry)
             if verbose:
                 _, source, _, error, _ = report.outcomes[cell.key]
                 suffix = ": %s" % error if error else ""
                 print("  %-40s %s%s" % (cell.describe(), source, suffix))
         checkpoint()
-        feed.push(report)
 
 
 def _run_service(dirty: List[PlanCell], report: SweepReport,
@@ -404,8 +412,8 @@ def run_sweep(plan: SweepPlan, store=None,
             _run_service(dirty, report, client, max_in_flight, feed,
                          checkpoint, verbose)
         else:
-            _run_local(dirty, report, store, jobs, retries, feed,
-                       checkpoint, verbose)
+            _run_local(dirty, report, store, jobs, retries, checkpoint,
+                       verbose)
         checkpoint()
     feed.push(report, state="failed" if report.failed else "done", force=True)
     if report_path:

@@ -14,8 +14,9 @@ Accepted inputs, auto-detected by content:
   dumps reference existing ``.trace.jsonl`` files, the event-level
   first divergence is computed too;
 * **manifests** — suite manifests (schema ≥ 2) whose cells carry
-  ``stats`` digests; cells are aligned on
-  (benchmark, policy, seed, instructions, warmup);
+  ``stats`` digests, and sweep reports (``repro sweep run --report``);
+  cells are aligned on (benchmark, policy, seed, instructions, warmup)
+  and their config: a report row's overrides, a manifest cell's hash;
 * **traces** — ``.trace.jsonl`` streams or Chrome ``traceEvents``
   documents, compared event-by-event.
 
@@ -212,8 +213,19 @@ def _diff_runs(report: DiffReport, a: Dict[str, object],
 
 
 def _cell_key(cell: Dict[str, object]) -> Tuple[object, ...]:
+    # a report row carries its config overrides (None: the default
+    # machine), a manifest cell its config hash
+    config = cell.get("config", cell.get("config_hash"))
     return (cell.get("benchmark"), cell.get("policy"), cell.get("seed"),
-            cell.get("instructions"), cell.get("warmup"))
+            cell.get("instructions"), cell.get("warmup"),
+            json.dumps(config, sort_keys=True))
+
+
+def _cell_label(cell: Dict[str, object]) -> str:
+    """``bench/policy/sN``, with ``[config label]`` for a non-default row."""
+    variant = "[%s]" % cell.get("config_label") if cell.get("config") else ""
+    return "%s/%s%s/s%s" % (cell.get("benchmark"), cell.get("policy"),
+                            variant, cell.get("seed"))
 
 
 def _diff_manifests(report: DiffReport, a: Dict[str, object],
@@ -235,8 +247,8 @@ def _diff_manifests(report: DiffReport, a: Dict[str, object],
         if sa is None or sb is None:
             missing_digests += 1
             continue
-        label = "%s/%s/s%s" % (key[0], key[1], key[2])
-        report.counters.extend(diff_counters(sa, sb, cell=label))
+        report.counters.extend(diff_counters(
+            sa, sb, cell=_cell_label(cells_a[key])))
     if missing_digests:
         report.notes.append(
             "%d matched cell(s) lack stats digests (manifest schema < 2?)"

@@ -22,6 +22,12 @@ class TestParser:
             ["run", "noop", "baseline", "--instructions", "5000"])
         assert args.benchmark == "noop"
         assert args.instructions == 5000
+        assert not args.no_cache
+        assert build_parser().parse_args(
+            ["run", "noop", "baseline", "--no-cache"]).no_cache
+        # a grid always reads the store; the flag is run's alone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["suite", "--no-cache"])
 
     def test_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
@@ -175,6 +181,11 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "cells" in out and "hit rate" in out
+
+    def test_suite_with_unknown_policy_writes_no_manifest(self, capsys):
+        with pytest.raises(KeyError, match="unknown policy 'bogus'"):
+            main(["suite", "--benchmarks", "noop", "--policies", "bogus"])
+        assert main(["manifest"]) == 1
 
     def test_manifest_cells_listing(self, capsys):
         main(["suite", "--benchmarks", "noop", "--policies", "baseline",

@@ -98,7 +98,6 @@ class TestCollect:
     def test_figure_writes_no_state_file_or_manifest(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
-        monkeypatch.delenv("REPRO_NO_MANIFEST", raising=False)
         fig09_mpki.run(benchmarks=BENCHES, **TINY)  # cold
         fig09_mpki.run(benchmarks=BENCHES, **TINY)  # warm
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]

@@ -1,20 +1,23 @@
-"""Tests for the parallel suite runner: serial/parallel equivalence,
-layout memoization, retry behavior, determinism, and manifest emission."""
+"""Tests for the grid path behind ``repro suite`` and the figures
+(``experiments.common.collect`` over the sweep executor's pool):
+serial/parallel equivalence, layout memoization, retry behavior,
+determinism, and manifest emission."""
 
 import os
-from pathlib import Path
+import re
 
 import pytest
 
+from repro.cli import main
+from repro.experiments.common import collect
 from repro.simulator import manifest as manifest_mod
 from repro.simulator import runner
 from repro.simulator.runner import (
+    DEFAULT_RETRIES,
     clear_layout_cache,
     get_layout,
     resolve_jobs,
     run_benchmark,
-    run_suite,
-    run_suite_parallel,
 )
 
 GRID = dict(instructions=3000, warmup=500)
@@ -31,10 +34,15 @@ def tmp_cache(tmp_path, monkeypatch):
     return tmp_path
 
 
+def grid(policies, benchmarks, jobs, manifest=None, **budget):
+    return collect(policies, benchmarks, seed=1, n_jobs=jobs,
+                   manifest=manifest, **dict(GRID, **budget))
+
+
 def _assert_grids_identical(a, b):
-    assert set(a) == set(b)
+    assert list(a) == list(b)
     for bench in a:
-        assert set(a[bench]) == set(b[bench])
+        assert list(a[bench]) == list(b[bench])
         for policy in a[bench]:
             assert a[bench][policy].to_dict() == b[bench][policy].to_dict(), \
                 (bench, policy)
@@ -68,24 +76,30 @@ class TestEquivalence:
     def test_parallel_matches_serial_cold_and_warm(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
-        serial = run_suite(POLICIES, benchmarks=BENCHES, **GRID)
+        serial = grid(POLICIES, BENCHES, jobs=1)
 
         # cold store: every cell simulated in a worker process
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "par"))
-        cold = run_suite_parallel(POLICIES, benchmarks=BENCHES, jobs=2,
-                                  **GRID)
+        cold_manifest = manifest_mod.RunManifest(jobs=2)
+        cold = grid(POLICIES, BENCHES, jobs=2, manifest=cold_manifest)
         _assert_grids_identical(serial, cold)
+        assert all(c.worker.startswith("pid:") for c in cold_manifest.cells)
 
         # warm store: every cell served from it
-        warm = run_suite_parallel(POLICIES, benchmarks=BENCHES, jobs=2,
-                                  **GRID)
+        warm_manifest = manifest_mod.RunManifest(jobs=2)
+        warm = grid(POLICIES, BENCHES, jobs=2, manifest=warm_manifest)
         _assert_grids_identical(serial, warm)
+        assert all(c.worker == "store" for c in warm_manifest.cells)
 
     def test_serial_is_parallel_with_one_job(self, tmp_cache):
-        res = run_suite(POLICIES, benchmarks=["noop"], **GRID)
-        assert set(res["noop"]) == set(POLICIES)
+        manifest = manifest_mod.RunManifest()
+        res = grid(POLICIES, ["noop"], jobs=1, manifest=manifest)
+        assert list(res["noop"]) == POLICIES
+        # one job runs every cell in this process, through the same pool
+        # code path and the same manifest records
+        assert [c.worker for c in manifest.cells] == ["main", "main"]
+        assert [c.attempts for c in manifest.cells] == [1, 1]
 
 
 class TestLayoutMemoization:
@@ -109,8 +123,7 @@ class TestLayoutMemoization:
             return real(profile, seed=seed)
 
         monkeypatch.setattr(runner, "generate_layout", counting)
-        run_suite(["baseline", "2x_il1", "emissary"], benchmarks=["noop"],
-                  **GRID)
+        grid(["baseline", "2x_il1", "emissary"], ["noop"], jobs=1)
         assert calls == [("noop", 1)]
         clear_layout_cache()
 
@@ -153,12 +166,11 @@ class TestRetries:
 
         monkeypatch.setattr(runner, "_simulate_cell", flaky)
         manifest = manifest_mod.RunManifest(label="retry-test")
-        res = run_suite_parallel(["baseline"], benchmarks=["noop"], jobs=1,
-                                 manifest=manifest, **GRID)
+        res = grid(["baseline"], ["noop"], jobs=1, manifest=manifest)
         assert res["noop"]["baseline"].instructions > 0
-        retried = [c for c in manifest.cells if c.attempts == 2]
-        assert len(retried) == 1
-        assert retried[0].status == "ok"
+        (record,) = manifest.cells
+        assert record.attempts == 2
+        assert record.status == "ok" and not record.cache_hit
 
     def test_permanent_failure_raises_after_budget(self, tmp_cache,
                                                    monkeypatch):
@@ -169,32 +181,52 @@ class TestRetries:
             raise RuntimeError("permanent failure")
 
         monkeypatch.setattr(runner, "_simulate_cell", broken)
+        monkeypatch.setattr(runner, "_BACKOFF_S", 0.0)
         manifest = manifest_mod.RunManifest(label="fail-test")
-        with pytest.raises(RuntimeError, match="failed after 2 attempt"):
-            run_suite_parallel(["baseline"], benchmarks=["noop"], jobs=1,
-                               retries=1, manifest=manifest, **GRID)
-        assert attempts["n"] == 2
-        assert [c.status for c in manifest.cells] == ["failed"]
+        with pytest.raises(RuntimeError,
+                           match=r"^1 grid cell\(s\) failed: noop "
+                                 r"\(baseline\): .*permanent failure"):
+            grid(["baseline"], ["noop"], jobs=1, manifest=manifest)
+        assert attempts["n"] == DEFAULT_RETRIES + 1
+        # recorded before the error was raised
+        (record,) = manifest.cells
+        assert (record.status, record.attempts) == ("failed",
+                                                    DEFAULT_RETRIES + 1)
+        assert "permanent failure" in record.error
+        assert record.stats is None
 
 
 class TestGridDedup:
-    def test_duplicate_cells_simulate_once(self, tmp_cache):
-        manifest = manifest_mod.RunManifest(label="dedup-test")
-        res = run_suite_parallel(["baseline", "baseline"],
-                                 benchmarks=["noop"], jobs=1,
-                                 manifest=manifest, **GRID)
-        # both grid slots filled from one simulation
-        assert res["noop"]["baseline"].instructions > 0
-        simulated = [c for c in manifest.cells if not c.cache_hit]
-        assert len([c for c in simulated if c.wall_time > 0]) == 1
+    def test_duplicate_cells_simulate_once(self, tmp_cache, monkeypatch):
+        real = runner._simulate_cell
+        simulated = []
 
-    def test_warm_cells_not_resimulated(self, tmp_cache):
-        run_suite_parallel(POLICIES, benchmarks=["noop"], jobs=1, **GRID)
+        def counting(cell):
+            simulated.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(runner, "_simulate_cell", counting)
+        manifest = manifest_mod.RunManifest(label="dedup-test")
+        res = grid(["baseline", "baseline"], ["noop"], jobs=1,
+                   manifest=manifest)
+        # the duplicate slot collapses in the plan: one simulation, one
+        # manifest record, one result
+        assert list(res["noop"]) == ["baseline"]
+        assert len(simulated) == 1
+        (record,) = manifest.cells
+        assert not record.cache_hit and record.wall_time > 0
+
+    def test_warm_cells_not_resimulated(self, tmp_cache, monkeypatch):
+        grid(POLICIES, ["noop"], jobs=1)
+        monkeypatch.setattr(runner, "_simulate_cell", lambda cell: (
+            (_ for _ in ()).throw(AssertionError("must not simulate"))))
         manifest = manifest_mod.RunManifest(label="warm-test")
-        run_suite_parallel(POLICIES, benchmarks=["noop"], jobs=1,
-                           manifest=manifest, **GRID)
+        grid(POLICIES, ["noop"], jobs=1, manifest=manifest)
+        assert len(manifest.cells) == len(POLICIES)
         assert all(c.cache_hit for c in manifest.cells)
         assert all(c.worker == "store" for c in manifest.cells)
+        assert all((c.attempts, c.wall_time) == (0, 0.0)
+                   for c in manifest.cells)
 
 
 class TestParallelSpeedup:
@@ -204,21 +236,19 @@ class TestParallelSpeedup:
         import time
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
-        grid = dict(instructions=30_000, warmup=6_000)
+        budget = dict(instructions=30_000, warmup=6_000)
         benches = ["noop", "tatp", "voter", "smallbank"]
         policies = ["baseline", "pdip_44", "eip_46"]
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
         t0 = time.perf_counter()
-        serial = run_suite(policies, benchmarks=benches, **grid)
+        serial = grid(policies, benches, jobs=1, **budget)
         serial_s = time.perf_counter() - t0
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "par"))
         clear_layout_cache()
         t0 = time.perf_counter()
-        par = run_suite_parallel(policies, benchmarks=benches, jobs=4,
-                                 **grid)
+        par = grid(policies, benches, jobs=4, **budget)
         parallel_s = time.perf_counter() - t0
 
         _assert_grids_identical(serial, par)
@@ -226,21 +256,43 @@ class TestParallelSpeedup:
 
 
 class TestManifestEmission:
-    def test_every_suite_run_writes_a_manifest(self, tmp_cache):
-        run_suite(["baseline"], benchmarks=["noop"], **GRID)
-        path = manifest_mod.latest()
-        assert path is not None
-        data = manifest_mod.load(path)
+    def test_every_suite_run_writes_a_manifest(self, tmp_cache, capsys):
+        argv = ["suite", "--benchmarks", "noop", "--policies", "baseline",
+                "--jobs", "1", "--instructions", str(GRID["instructions"]),
+                "--warmup", str(GRID["warmup"])]
+        assert main(argv) == 0
+        # the path printed is the one this run wrote
+        (printed,) = re.findall(r"^manifest: (.+)$",
+                                capsys.readouterr().out, re.MULTILINE)
+        assert printed == str(manifest_mod.latest())
+        data = manifest_mod.load(printed)
         assert data["schema"] == manifest_mod.SCHEMA_VERSION
+        assert (data["label"], data["jobs"]) == ("suite", 1)
         cells = data["cells"]
         assert [c["benchmark"] for c in cells] == ["noop"]
         record = cells[0]
         for field in ("policy", "seed", "key", "config_hash", "cache_hit",
-                      "wall_time", "worker", "attempts", "status"):
+                      "wall_time", "worker", "attempts", "status", "stats",
+                      "telemetry"):
             assert field in record
+        assert record["config_hash"] == manifest_mod.config_hash(None)
         assert data["summary"]["cache_misses"] == 1
 
-    def test_disabled_by_env(self, tmp_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
-        run_suite(["baseline"], benchmarks=["noop"], **GRID)
-        assert manifest_mod.latest() is None
+        assert main(argv) == 0
+        (again,) = re.findall(r"^manifest: (.+)$",
+                              capsys.readouterr().out, re.MULTILINE)
+        assert again != printed
+        (warm,) = manifest_mod.load(again)["cells"]
+        assert (warm["cache_hit"], warm["worker"]) == (True, "store")
+        assert warm["stats"] == record["stats"]
+
+    def test_fresh_cells_carry_telemetry_summaries(self, tmp_cache,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        cold = manifest_mod.RunManifest(jobs=2)
+        grid(POLICIES, ["noop"], jobs=2, manifest=cold)
+        assert all(c.worker.startswith("pid:") and c.telemetry
+                   for c in cold.cells)
+        warm = manifest_mod.RunManifest(jobs=2)
+        grid(POLICIES, ["noop"], jobs=2, manifest=warm)
+        assert all(c.cache_hit and c.telemetry is None for c in warm.cells)

@@ -36,7 +36,6 @@ from tests.test_service_server import (
 def backend(tmp_path, monkeypatch):
     """Factory for a live control plane with one execution slot."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
     made = []
 
     def make(**kwargs):

@@ -78,7 +78,6 @@ class Harness:
 def harness(tmp_path, monkeypatch):
     """Factory for servers; every one is drained at teardown."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
     servers = []
 
     def make(**kwargs):
@@ -356,8 +355,7 @@ def serve_process(tmp_path, *args):
     client)`` and kills the process on the way out if it still runs."""
     env = dict(os.environ,
                PYTHONPATH=str(SRC),
-               REPRO_CACHE_DIR=str(tmp_path / "cache"),
-               REPRO_NO_MANIFEST="1")
+               REPRO_CACHE_DIR=str(tmp_path / "cache"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,

@@ -16,13 +16,14 @@ import sqlite3
 
 import pytest
 
+from repro.experiments.common import collect
 from repro.memory.hierarchy import HierarchyConfig
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 from repro.simulator import cache as result_cache
 from repro.simulator import runner as runner_mod
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import POLICIES, get_policy
-from repro.simulator.runner import run_benchmark, run_suite_parallel
+from repro.simulator.runner import run_benchmark
 from repro.simulator.stats import SimulationStats
 from repro.traces import registry
 from repro.traces.ingest import IngestReport
@@ -62,7 +63,6 @@ def no_local_cache(tmp_path, monkeypatch):
     """Isolate the default store so only the store passed in can hit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
 
 
 class TestCellKey:
@@ -322,10 +322,10 @@ class TestRunnerIntegration:
 
     def test_sweep_twice_zero_simulations(self, store, no_local_cache,
                                           monkeypatch):
+        # the suite's grid path resolves in the default store: root it here
+        monkeypatch.setenv("REPRO_STORE", str(store.root))
         policies = ["baseline", "pdip_44"]
-        first = run_suite_parallel(policies, benchmarks=["noop"],
-                                   instructions=2000, warmup=300, jobs=1,
-                                   store=store)
+        first = collect(policies, ["noop"], 2000, 300, n_jobs=1)
         assert len(store) == 2
 
         def boom(cell):  # pragma: no cover - must not run
@@ -333,9 +333,7 @@ class TestRunnerIntegration:
                                  % (cell,))
 
         monkeypatch.setattr(runner_mod, "_simulate_cell", boom)
-        second = run_suite_parallel(policies, benchmarks=["noop"],
-                                    instructions=2000, warmup=300, jobs=1,
-                                    store=store)
+        second = collect(policies, ["noop"], 2000, 300, n_jobs=1)
         for policy in policies:
             assert (second["noop"][policy].to_dict()
                     == first["noop"][policy].to_dict())
@@ -344,15 +342,13 @@ class TestRunnerIntegration:
                                             monkeypatch):
         from repro.simulator.manifest import RunManifest
 
-        run_suite_parallel(["baseline"], benchmarks=["noop"],
-                           instructions=2000, warmup=300, jobs=1,
-                           store=store)
+        monkeypatch.setenv("REPRO_STORE", str(store.root))
+        collect(["baseline"], ["noop"], 2000, 300, n_jobs=1)
         monkeypatch.setattr(runner_mod, "_simulate_cell", lambda cell: (
             (_ for _ in ()).throw(AssertionError("must not simulate"))))
         manifest = RunManifest(label="again")
-        run_suite_parallel(["baseline"], benchmarks=["noop"],
-                           instructions=2000, warmup=300, jobs=1,
-                           store=store, manifest=manifest)
+        collect(["baseline"], ["noop"], 2000, 300, n_jobs=1,
+                manifest=manifest)
         (record,) = manifest.cells
         assert record.worker == "store"
         assert record.cache_hit is True

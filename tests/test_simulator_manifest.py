@@ -12,7 +12,6 @@ from repro.simulator.manifest import CellRecord, RunManifest
 @pytest.fixture
 def tmp_manifests(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_MANIFEST", raising=False)
     return tmp_path
 
 
@@ -94,11 +93,6 @@ class TestWriteLoad:
 
     def test_latest_empty_dir(self, tmp_manifests):
         assert manifest_mod.latest() is None
-
-    def test_disabled(self, tmp_manifests, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
-        assert RunManifest().write() is None
-        assert list(tmp_manifests.iterdir()) == []
 
     def test_explicit_path(self, tmp_manifests):
         target = tmp_manifests / "sub" / "my.json"

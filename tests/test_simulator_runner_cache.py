@@ -1,12 +1,13 @@
-"""Tests for the suite runner and the default result store."""
+"""Tests for the cell runner and the default result store."""
 
 import pytest
 
+from repro.experiments.common import collect
 from repro.simulator import cache as result_cache
 from repro.simulator.cache import ResultStore
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import get_policy
-from repro.simulator.runner import run_benchmark, run_suite, speedup
+from repro.simulator.runner import run_benchmark, speedup
 from repro.simulator.stats import SimulationStats
 from repro.utils import geomean
 
@@ -115,8 +116,8 @@ class TestRunBenchmark:
 
 class TestSuite:
     def test_grid_shape(self, tmp_cache):
-        res = run_suite(["baseline", "pdip_44"], benchmarks=["noop"],
-                        instructions=2500, warmup=400)
+        res = collect(["baseline", "pdip_44"], ["noop"], instructions=2500,
+                      warmup=400)
         assert set(res.keys()) == {"noop"}
         assert set(res["noop"].keys()) == {"baseline", "pdip_44"}
 

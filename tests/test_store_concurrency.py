@@ -160,8 +160,7 @@ class TestCrashSafety:
         root = tmp_path / "store"
         marker = tmp_path / "killed-writer.marker"
         env = dict(os.environ, PYTHONPATH=str(SRC),
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                   REPRO_NO_MANIFEST="1")
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
         env.pop("REPRO_STORE", None)
         procs = []
 

@@ -20,10 +20,11 @@ import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.service.store import ResultStore
 from repro.simulator import cache as result_cache
 from repro.simulator import manifest
-from repro.simulator.runner import run_benchmark, run_suite_parallel
+from repro.simulator.runner import run_benchmark
 from repro.sweeps import (
     compile_spec,
     load_state,
@@ -44,10 +45,9 @@ SPEC = {
 
 @pytest.fixture
 def sandbox(tmp_path, monkeypatch):
-    """Isolated default store + manifest-free runs; returns a fresh store."""
+    """Isolated default store; returns a fresh store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.setenv("REPRO_NO_MANIFEST", "1")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     return ResultStore(tmp_path / "store")
 
@@ -119,18 +119,6 @@ class TestIncremental:
         for key, (cell, source, _, _, _) in report.outcomes.items():
             expected = "store" if cell.config_label == "default" else "executed"
             assert source == expected, cell.describe()
-
-    def test_sweep_stats_bit_identical_to_suite_runner(self, sandbox):
-        plan = plan_for()
-        report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
-        suite = run_suite_parallel(
-            ["baseline", "pdip_44"], benchmarks=["noop", "tatp"],
-            instructions=2000, warmup=300, jobs=2)
-        grid = report.results()
-        for benchmark in ("noop", "tatp"):
-            for policy in ("baseline", "pdip_44"):
-                assert (grid[benchmark][policy].to_dict()
-                        == suite[benchmark][policy].to_dict())
 
 
 class TestState:
@@ -273,29 +261,30 @@ class TestStoreWriteFault:
     @pytest.mark.parametrize("where", ["blob", "index"])
     def test_suite_fails_after_its_manifest_and_keeps_the_rest(
             self, sandbox, monkeypatch, tmp_path, where):
-        monkeypatch.delenv("REPRO_NO_MANIFEST")
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
-        grid = dict(policies=["baseline", "pdip_44"],
-                    benchmarks=["noop", "tatp"], instructions=2000,
-                    warmup=300, jobs=2, store=sandbox)
-        reason = fail_next_write(monkeypatch, sandbox, where)
+        argv = ["suite", "--benchmarks", "noop,tatp",
+                "--policies", "baseline,pdip_44", "--instructions", "2000",
+                "--warmup", "300", "--jobs", "2"]
+        store = result_cache.open_store()  # the store the suite uses
+        reason = fail_next_write(monkeypatch, store, where)
         with pytest.raises(RuntimeError,
                            match=r"^1 grid cell\(s\) failed.*store write"):
-            run_suite_parallel(**grid)
+            main(argv)
 
+        # the manifest was written before the error propagated
         cells = manifest.load(manifest.latest())["cells"]
         (victim,) = [c for c in cells if c["status"] == "failed"]
         assert victim["error"].startswith("store write failed: ")
         assert reason in victim["error"]
-        assert sandbox.get(victim["key"]) is None
+        assert victim["worker"].startswith("pid:") and victim["stats"] is None
+        assert store.get(victim["key"]) is None
         kept = [c["key"] for c in cells if c is not victim]
         assert len(kept) == 3
-        assert all(sandbox.get(key) is not None for key in kept)
+        assert all(store.get(key) is not None for key in kept)
 
-        results = run_suite_parallel(**grid)
+        assert main(argv) == 0
         rerun = manifest.load(manifest.latest())["cells"]
         assert {c["key"]: c["worker"] == "store" for c in rerun} == {
             c["key"]: c is not victim for c in cells}
         for c in rerun:
-            stats = results[c["benchmark"]][c["policy"]]
-            assert sandbox.get(c["key"]).to_dict() == stats.to_dict()
+            assert store.get(c["key"]).counters() == c["stats"]

@@ -125,6 +125,34 @@ class TestDiffPaths:
         assert report.verdict == "diverged"
         assert report.counters[0].cell == "noop/pdip_44/s1"
 
+    def test_report_config_variants_are_compared_apart(self, tmp_path):
+        # sweep report rows (a config axis): same grid slot, two configs
+        cell = {"benchmark": "noop", "policy": "pdip_44", "seed": 1,
+                "instructions": 100, "warmup": 10}
+        small = dict(cell, config={"btb_entries": 2048},
+                     config_label="small")
+        default = dict(cell, config=None, config_label="default")
+        a = _manifest(tmp_path / "a.json",
+                      [dict(small, stats={"cycles": 5}),
+                       dict(default, stats={"cycles": 7})])
+        b = _manifest(tmp_path / "b.json",
+                      [dict(small, stats={"cycles": 6}),
+                       dict(default, stats={"cycles": 7})])
+        report = diff_paths(a, b)
+        assert report.verdict == "diverged"
+        assert [c.cell for c in report.counters] == ["noop/pdip_44[small]/s1"]
+        assert not report.notes
+
+        # manifest cells: the config hash tells the variants apart
+        a = _manifest(tmp_path / "c.json",
+                      [dict(cell, config_hash="aaa", stats={"cycles": 5}),
+                       dict(cell, config_hash="bbb", stats={"cycles": 7})])
+        b = _manifest(tmp_path / "d.json",
+                      [dict(cell, config_hash="aaa", stats={"cycles": 6}),
+                       dict(cell, config_hash="bbb", stats={"cycles": 7})])
+        assert [c.cell for c in diff_paths(a, b).counters] == [
+            "noop/pdip_44/s1"]
+
     def test_mismatched_kinds_incomparable(self, tmp_path):
         a = _run_dump(tmp_path / "a.json", {"cycles": 5})
         b = _manifest(tmp_path / "b.json", [])
