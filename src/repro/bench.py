@@ -44,9 +44,9 @@ from typing import Dict, List, Optional
 
 from repro.simulator.policies import build_machine, get_policy
 from repro.simulator.probe import TimelineProbe
+from repro.simulator.runner import get_layout
 from repro.utils import geomean
-from repro.workloads.generator import generate_layout
-from repro.workloads.profiles import external_benchmark, get_profile
+from repro.workloads.profiles import get_profile
 
 #: default output document, at the repo root (next to the run manifests)
 DEFAULT_OUT = "BENCH_runner.json"
@@ -152,11 +152,7 @@ def run_cell(cell: BenchCell, repeats: int = 2) -> Dict[str, object]:
     because the wall time covers them too.
     """
     profile = get_profile(cell.benchmark)
-    ext = external_benchmark(cell.benchmark)
-    if ext is not None:
-        layout = ext.layout_builder(cell.seed)
-    else:
-        layout = generate_layout(profile, seed=cell.seed)
+    layout = get_layout(cell.benchmark, seed=cell.seed)
     best_wall = None
     cycles = 0
     ipc = 0.0

@@ -54,12 +54,14 @@ import argparse
 import importlib
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Container, List, Optional, Sequence
 
 from repro.simulator.cache import STORE_ENV, open_store
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
+    DEFAULT_BACKOFF_S,
     DEFAULT_INSTRUCTIONS,
+    DEFAULT_RETRIES,
     DEFAULT_WARMUP,
     resolve_jobs,
     run_benchmark,
@@ -115,8 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="benchmark x policy grid")
     p_suite.add_argument("--benchmarks", default="all",
+                         type=_names(known_benchmark_names(), BENCHMARK_NAMES),
                          help="comma-separated names or 'all'")
     p_suite.add_argument("--policies", default="baseline,pdip_44",
+                         type=_names(POLICIES),
                          help="comma-separated policy names")
     _budget_args(p_suite)
     _jobs_arg(p_suite, "all cores")
@@ -272,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-attempt job timeout in seconds "
                               "(default: none)")
-    p_serve.add_argument("--retries", type=int, default=None,
+    p_serve.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
                          help="retry budget per job beyond try #1 "
-                              "(default 2)")
-    p_serve.add_argument("--backoff", type=float, default=None,
+                              "(default %d)" % DEFAULT_RETRIES)
+    p_serve.add_argument("--backoff", type=float, default=DEFAULT_BACKOFF_S,
                          help="base retry backoff seconds, doubled per "
-                              "attempt (default 0.25)")
+                              "attempt (default %g)" % DEFAULT_BACKOFF_S)
     p_serve.add_argument("--store", default=None, metavar="DIR",
                          help="result store root (default: REPRO_STORE "
                               "env, else <cache dir>/store)")
@@ -328,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_verb = sweep_sub.add_parser(verb, help=blurb)
         p_verb.add_argument("spec", help="sweep spec file (.toml or .json)")
         _store_arg(p_verb)
-        p_verb.add_argument("--state", default=None, metavar="PATH",
-                            help="resumable state file (default: keyed by "
-                                 "plan digest under the cache dir; "
-                                 "'' disables)")
+        if verb != "plan":
+            p_verb.add_argument("--state", default=None, metavar="PATH",
+                                help="resumable state file (default: keyed "
+                                     "by plan digest under the cache dir; "
+                                     "'' disables)")
         p_verb.add_argument("--format", dest="format", default="text",
                             choices=("text", "json"))
         if verb == "plan":
@@ -346,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
             p_verb.add_argument("--max-in-flight", type=int, default=None,
                                 help="bound on outstanding service "
                                      "submissions (default 16)")
-            p_verb.add_argument("--retries", type=int, default=None,
+            p_verb.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
                                 help="local-pool retry budget per cell "
-                                     "(default 2)")
+                                     "(default %d)" % DEFAULT_RETRIES)
             p_verb.add_argument("--report", default=None, metavar="PATH",
                                 help="write the JSON sweep report here")
             p_verb.add_argument("--no-stats", action="store_true",
@@ -364,6 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="show benchmarks, policies, figures")
     return parser
+
+
+def _names(catalog: Container[str], every: Sequence[str] = ()
+           ) -> Callable[[str], List[str]]:
+    """argparse type: a comma list of names in ``catalog`` (or, when
+    ``every`` is given, the word ``all`` for those)."""
+    def parse(text: str) -> List[str]:
+        if every and text == "all":
+            return list(every)
+        names = [name.strip() for name in text.split(",")]
+        bad = [name for name in names if name not in catalog]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                "unknown name %r (see 'repro list')" % bad[0])
+        return names
+    return parse
 
 
 def _budget_args(parser: argparse.ArgumentParser) -> None:
@@ -457,20 +478,19 @@ def cmd_suite(args: argparse.Namespace) -> int:
     from repro.experiments.common import collect, geomean_speedup_pct
     from repro.simulator.manifest import RunManifest
 
-    benches = (list(BENCHMARK_NAMES) if args.benchmarks == "all"
-               else [b.strip() for b in args.benchmarks.split(",")])
-    policies = [p.strip() for p in args.policies.split(",")]
+    policies = args.policies  # both lists were checked at parse time
     jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
     manifest = RunManifest(jobs=jobs)
     try:
-        results = collect(policies, benches, args.instructions, args.warmup,
-                          seed=args.seed, n_jobs=jobs, manifest=manifest)
+        results = collect(policies, args.benchmarks, args.instructions,
+                          args.warmup, seed=args.seed, n_jobs=jobs,
+                          manifest=manifest)
         for bench, by_policy in results.items():
             for policy, stats in by_policy.items():
                 print(f"{bench:16s} {policy:18s} {stats.summary()}")
     finally:
         # a failed cell is on record before its error propagates; a grid
-        # that did not compile (an unknown name) ran nothing to record
+        # that did not compile ran nothing to record
         if manifest.cells:
             print(f"\nmanifest: {manifest.write()}")
     if "baseline" in policies:
@@ -710,10 +730,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=(args.queue_limit if args.queue_limit is not None
                      else service_server.DEFAULT_QUEUE_LIMIT),
         timeout=args.timeout,
-        retries=(args.retries if args.retries is not None
-                 else service_server.DEFAULT_RETRIES),
-        backoff=(args.backoff if args.backoff is not None
-                 else service_server.DEFAULT_BACKOFF_S),
+        retries=args.retries, backoff=args.backoff,
         allow_faults=args.allow_faults)
 
 
@@ -859,7 +876,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except SweepSpecError as exc:
         print(f"sweep spec error: {exc}")
         return 2
-    state_file = sweep_state_path(plan) if args.state is None else args.state
 
     if args.sweep_command == "plan":
         if args.format == "json":
@@ -881,6 +897,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     store = open_store()
     if args.sweep_command == "status":
+        state_file = (sweep_state_path(plan) if args.state is None
+                      else args.state)
         state = load_state(state_file, plan) if state_file else {
             "done": {}, "failed": {}}
         counts = {"store": 0, "failed": 0, "pending": 0}
@@ -913,7 +931,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         client = ServiceClient(host=host, port=port)
     report = run_sweep(
         plan, store=store, client=client, jobs=args.jobs,
-        retries=args.retries if args.retries is not None else 2,
+        retries=args.retries,
         max_in_flight=(args.max_in_flight if args.max_in_flight is not None
                        else DEFAULT_MAX_IN_FLIGHT),
         state_path=args.state, report_path=args.report,

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional, Sequence
 from repro.experiments import common
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import PolicySpec
-from repro.simulator.runner import run_benchmark
+from repro.simulator.runner import get_layout, run_benchmark
 from repro.utils import geomean
 
 #: ablations run on a fast, representative subset by default
@@ -156,7 +156,6 @@ def emissary_knobs(instructions: Optional[int] = None,
     """
     from repro.memory.replacement import EmissaryPolicy
     from repro.simulator.policies import build_machine, get_policy
-    from repro.workloads.generator import generate_layout
     from repro.workloads.profiles import get_profile
 
     instructions, warmup = _budget(instructions, warmup)
@@ -167,7 +166,7 @@ def emissary_knobs(instructions: Optional[int] = None,
         ratios = []
         for bench in benches:
             profile = get_profile(bench)
-            layout = generate_layout(profile, seed=seed)
+            layout = get_layout(bench, seed=seed)
             base = run_benchmark(bench, "baseline",
                                  instructions=instructions, warmup=warmup,
                                  seed=seed)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.service.jobs import config_from_payload
-from repro.simulator.manifest import CellRecord, RunManifest, config_hash
+from repro.simulator.config import config_from_payload, config_hash
+from repro.simulator.manifest import CellRecord, RunManifest
 from repro.simulator.runner import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,

@@ -10,7 +10,6 @@ from typing import Optional
 
 from repro.experiments import common
 from repro.reporting import stacked_pct_bar
-from repro.simulator.runner import run_benchmark
 
 BENCHMARK = "cassandra"
 
@@ -26,8 +25,8 @@ def run(instructions: Optional[int] = None, warmup: Optional[int] = None,
         seed: int = 1) -> dict:
     """Compute this artifact's data series (see the module docstring)."""
     instructions, warmup = common.budget(instructions, warmup)
-    stats = run_benchmark(BENCHMARK, "baseline", instructions=instructions,
-                          warmup=warmup, seed=seed)
+    stats = common.collect(["baseline"], [BENCHMARK], instructions, warmup,
+                           seed=seed)[BENCHMARK]["baseline"]
     measured = {k: 100.0 * v for k, v in stats.topdown.items()}
     return {"benchmark": BENCHMARK, "measured": measured, "paper": PAPER}
 

@@ -1,6 +1,6 @@
 """Simulation service: durable result store + async job server.
 
-The serving layer above the parallel suite runner (DESIGN.md §13):
+The serving layer above the simulator's one cell worker (DESIGN.md §13):
 
 * :mod:`repro.service.store` — the content-addressed result store
   (SQLite index + blob directory, keyed by the canonical cell digest
@@ -13,10 +13,11 @@ The serving layer above the parallel suite runner (DESIGN.md §13):
 * :mod:`repro.service.client` — the stdlib-only HTTP client behind
   ``repro submit`` / ``repro jobs``;
 * :mod:`repro.service.jobs` — the job model and the picklable worker
-  entry point.
+  entry point (fault injection, then
+  :func:`repro.simulator.runner.simulate_cell`).
 
-Layering: ``service`` sits above ``simulator`` (it reuses the runner
-internals and the result store) and below nothing — no simulation
+Layering: ``service`` sits above ``simulator`` (it reuses the cell
+worker and the result store) and below nothing — no simulation
 or model code may import it (enforced by ``repro lint``).
 """
 

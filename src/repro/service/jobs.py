@@ -1,18 +1,17 @@
 """Job model shared by the simulation server, client, and CLI.
 
 A *job* is one simulation cell — the same (benchmark, policy,
-instructions, warmup, seed, config) tuple the suite runner fans out —
-plus scheduling state: priority, attempts, timestamps, and a terminal
+instructions, warmup, seed, config) cell a sweep plan holds — plus
+scheduling state: priority, attempts, timestamps, and a terminal
 status. Jobs are identified twice: by a server-assigned ``id`` (opaque,
 per-server) and by their cell ``key`` (the canonical run digest), which
 is what the store and the deduplication logic use.
 
-:func:`execute_cell` is the process-pool entry point: a module-level
-function (picklable) that rebuilds the cell from its JSON payload and
-simulates it with the ordinary runner internals. Fault injection
-(``fault: crash|fail|hang``) exists for the failure-mode tests and the
-CI smoke job and is refused by the server unless started with
-``--allow-faults``.
+:func:`execute_cell` is the server's process-pool entry point: fault
+injection (``fault: crash|fail|hang``), else the one cell worker,
+:func:`repro.simulator.runner.simulate_cell`. Faults exist for the
+failure-mode tests and the CI smoke job and are refused by the server
+unless started with ``--allow-faults``.
 """
 
 from __future__ import annotations
@@ -21,12 +20,11 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.simulator.config import MachineConfig
-from repro.simulator.manifest import config_hash
+from repro.simulator.config import config_from_payload
 from repro.simulator.policies import POLICIES
-from repro.utils import pool_child_init  # noqa: F401  (re-export: historic home)
+from repro.simulator.stats import SimulationStats
 from repro.workloads.profiles import known_benchmark_names
 
 
@@ -78,36 +76,6 @@ class Job:
         return data
 
 
-def config_from_payload(overrides: Optional[Dict[str, object]]
-                        ) -> Optional[MachineConfig]:
-    """Build a MachineConfig from a submission's ``config`` overrides.
-
-    Top-level keys override :class:`MachineConfig` fields; the nested
-    ``hierarchy`` dict overrides ``HierarchyConfig`` fields. ``None``
-    (or an empty dict) means the default machine. Raises ``ValueError``
-    on unknown fields so a typo is a 400, not a silently-default run.
-    """
-    if not overrides:
-        return None
-    from repro.memory.hierarchy import HierarchyConfig
-
-    overrides = dict(overrides)
-    hier = overrides.pop("hierarchy", None)
-    fields_ = {f.name for f in dataclasses.fields(MachineConfig)}
-    unknown = set(overrides) - fields_
-    if unknown:
-        raise ValueError("unknown MachineConfig fields: %s"
-                         % ", ".join(sorted(unknown)))
-    if hier is not None:
-        hier_fields = {f.name for f in dataclasses.fields(HierarchyConfig)}
-        unknown = set(hier) - hier_fields
-        if unknown:
-            raise ValueError("unknown HierarchyConfig fields: %s"
-                             % ", ".join(sorted(unknown)))
-        overrides["hierarchy"] = HierarchyConfig(**hier)
-    return MachineConfig(**overrides)
-
-
 def normalize_submission(body: Dict[str, object]) -> Dict[str, object]:
     """Validate and default a ``POST /jobs`` body into a cell payload.
 
@@ -153,16 +121,14 @@ def normalize_submission(body: Dict[str, object]) -> Dict[str, object]:
     return payload
 
 
+def execute_cell(payload: Dict[str, object]
+                 ) -> Tuple[SimulationStats, float, str, Optional[dict]]:
+    """Pool worker: inject the payload's fault, else simulate the cell.
 
-
-def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Pool worker: simulate one cell from its normalized payload.
-
-    Bypasses the result store (the server parent owns all
-    persistence, so workers never write). Returns
-    ``{stats, wall_time, worker, config_hash}``.
+    Returns what :func:`~repro.simulator.runner.simulate_cell` does; the
+    server parent owns all persistence, so workers never write.
     """
-    from repro.simulator.runner import run_benchmark
+    from repro.simulator.runner import simulate_cell
 
     fault = payload.get("fault")
     if fault == "crash":
@@ -174,17 +140,4 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     if fault == "hang":
         time.sleep(float(payload.get("fault_seconds", 30.0)))
         raise RuntimeError("injected hang outlived the job timeout")
-    config = config_from_payload(payload.get("config"))
-    t0 = time.perf_counter()
-    stats = run_benchmark(payload["benchmark"], payload["policy"],
-                          instructions=int(payload["instructions"]),
-                          warmup=int(payload["warmup"]),
-                          config=config, seed=int(payload["seed"]),
-                          use_cache=False)
-    return {
-        "stats": stats.to_dict(),
-        "wall_time": time.perf_counter() - t0,
-        "worker": "pid:%d" % os.getpid(),
-        "config_hash": config_hash(config),
-    }
-
+    return simulate_cell(payload)

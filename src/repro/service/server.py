@@ -1,4 +1,4 @@
-"""Async simulation job server over the parallel runner.
+"""Async simulation job server over the simulator's one cell worker.
 
 A long-lived, dependency-free service (``repro serve``) that schedules
 simulation cells across a bounded :class:`ProcessPoolExecutor`, fronted
@@ -39,12 +39,15 @@ Endpoints (all JSON)::
 Scheduling: the backlog is a max-priority heap (higher ``priority``
 first, FIFO within a priority — the service-level echo of the paper's
 priority-directed theme). Worker slots are a semaphore; each job runs
-attempts of :func:`repro.service.jobs.execute_cell` in the process
-pool. A timeout or a crashed worker (``BrokenProcessPool``) resets the
-pool — surviving tasks are unaffected because each attempt holds its
-own future — and the job retries with doubling backoff until the retry
-budget is spent, then reports ``failed`` with the last error. A store
-write that fails (a full disk, a SQLite error) fails the job at once.
+attempts of :func:`repro.service.jobs.execute_cell` (the grids' cell
+worker behind fault injection) in the process pool. A timeout or a
+crashed worker (``BrokenProcessPool``) resets the pool — surviving
+tasks are unaffected because each attempt holds its own future — and
+the job retries with doubling backoff until the runner's retry budget
+is spent, then reports ``failed`` with the last error. A finished cell
+is stored like a grid cell (row label ``job:<id>``, telemetry summary
+included); a store write that fails (a full disk, a SQLite error)
+fails the job at once.
 """
 
 from __future__ import annotations
@@ -62,27 +65,17 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 from repro.dash import build_state, render_page, sweep_rows
-from repro.service.jobs import (
-    Job,
-    JobState,
-    config_from_payload,
-    execute_cell,
-    normalize_submission,
-    pool_child_init,
-)
-from repro.simulator import cache as result_cache
+from repro.service.jobs import Job, JobState, execute_cell, normalize_submission
 from repro.simulator.cache import ResultStore
+from repro.simulator.config import config_from_payload
+from repro.simulator.runner import DEFAULT_BACKOFF_S, DEFAULT_RETRIES, cell_meta
 from repro.simulator.stats import SimulationStats
-from repro.utils import canonical_digest
+from repro.utils import canonical_digest, pool_child_init
 
 #: default control-plane port (unregistered; override with --port)
 DEFAULT_PORT = 8642
 #: default submission backlog bound (queued jobs, not running ones)
 DEFAULT_QUEUE_LIMIT = 256
-#: default per-attempt retry budget beyond try #1
-DEFAULT_RETRIES = 2
-#: base exponential-backoff delay between attempts (seconds)
-DEFAULT_BACKOFF_S = 0.25
 
 #: cap on one ``GET /jobs/<id>?wait=S`` long-poll window (seconds)
 MAX_WAIT_S = 30.0
@@ -311,12 +304,11 @@ class SimulationServer:
                     self._finish(job, JobState.CANCELLED,
                                  "cancelled while running")
                     return
-                job.result = result["stats"]
-                job.wall_time = float(result.get("wall_time", 0.0))
-                job.source = result.get("worker", "worker")
+                stats, job.wall_time, job.source, telemetry = result
+                job.result = stats.to_dict()
                 self.counters["executed"] += 1
                 try:
-                    await self._persist(job, result)
+                    await self._persist(job, stats, telemetry)
                 except (OSError, sqlite3.Error) as exc:
                     # a full disk is no reason to simulate again; failing
                     # the job releases its waiters and frees its key
@@ -335,26 +327,20 @@ class SimulationServer:
                 delay *= 2
         self._finish(job, JobState.FAILED)
 
-    async def _persist(self, job: Job, result: Dict[str, object]) -> None:
+    async def _persist(self, job: Job, stats: SimulationStats,
+                       telemetry: Optional[dict]) -> None:
         """Write a finished cell into the store (off the event loop)."""
-        if self.store is None or "fault" in job.payload:
+        if self.store is None:
             return
-        stats = SimulationStats.from_dict(dict(job.result or {}))
-        meta = {
-            "benchmark": job.payload["benchmark"],
-            "policy": job.payload["policy"],
-            "seed": job.payload["seed"],
-            "instructions": job.payload["instructions"],
-            "warmup": job.payload["warmup"],
-            "config_hash": result.get("config_hash", ""),
-            "code_version": result_cache.RUN_KEY_VERSION,
-            "wall_time": job.wall_time,
-            "worker": job.source,
-            "attempts": job.attempts,
-            "job_id": job.id,
-        }
+        cell = job.payload
+        meta = cell_meta(cell["benchmark"], cell["policy"], cell["seed"],
+                         cell["instructions"], cell["warmup"],
+                         config_from_payload(cell.get("config")),
+                         job.wall_time, job.source, job.attempts,
+                         "job:%s" % job.id)
         await asyncio.get_event_loop().run_in_executor(
-            None, lambda: self.store.put(job.key, stats, meta=meta))
+            None, lambda: self.store.put(job.key, stats, meta=meta,
+                                         telemetry=telemetry))
 
     async def _reset_pool(self) -> None:
         """Replace the process pool after a timeout or crash.

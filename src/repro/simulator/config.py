@@ -3,13 +3,18 @@
 Defaults model the paper's Golden-Cove-like core: 32 KB/8-way L1-I with
 16 MSHRs, 1 MB/16-way L2, 2 MB/16-way L3, 8K-entry BTB, 24-entry FTQ,
 40-entry PQ, 12-wide decode/retire, 512-entry ROB.
+
+:func:`config_from_payload` decodes a cell payload's ``config``
+overrides, and :func:`config_hash` is a config's short store-row hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, Optional
 
 from repro.memory.hierarchy import HierarchyConfig
+from repro.utils import canonical_digest
 
 
 @dataclass(frozen=True)
@@ -67,3 +72,35 @@ class MachineConfig:
         hier = replace(self.hierarchy, l1i_size_kb=size_kb)
         return replace(self, hierarchy=hier)
 
+
+def config_from_payload(overrides: Optional[Mapping[str, Any]]
+                        ) -> Optional[MachineConfig]:
+    """Build a MachineConfig from a cell payload's ``config`` overrides.
+
+    Top-level keys override :class:`MachineConfig` fields; the nested
+    ``hierarchy`` dict overrides ``HierarchyConfig`` fields. ``None``
+    (or an empty dict) means the default machine. Raises ``ValueError``
+    on unknown fields so a typo is a 400, not a silently-default run.
+    """
+    if not overrides:
+        return None
+    overrides = dict(overrides)
+    hier = overrides.pop("hierarchy", None)
+    _check_fields(MachineConfig, overrides)
+    if hier is not None:
+        _check_fields(HierarchyConfig, hier)
+        overrides["hierarchy"] = HierarchyConfig(**hier)
+    return MachineConfig(**overrides)
+
+
+def _check_fields(cls: Any, names: Mapping[str, Any]) -> None:
+    unknown = set(names) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError("unknown %s fields: %s"
+                         % (cls.__name__, ", ".join(sorted(unknown))))
+
+
+def config_hash(config: Optional[MachineConfig]) -> str:
+    """Short stable hash of a machine config (default config when None)."""
+    return canonical_digest(config if config is not None
+                            else MachineConfig())[:12]

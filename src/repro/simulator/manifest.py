@@ -26,8 +26,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.simulator import cache as result_cache
-from repro.simulator.config import MachineConfig
-from repro.utils import canonical_digest
 
 #: manifest schema version (bump when the JSON layout changes)
 #: v2: cells carry ``stats`` counter digests (diffable via ``repro diff``)
@@ -45,12 +43,6 @@ def manifest_dir() -> Path:
     if env:
         return Path(env)
     return result_cache.cache_dir() / "manifests"
-
-
-def config_hash(config: Optional[MachineConfig]) -> str:
-    """Short stable hash of a machine config (default config when None)."""
-    return canonical_digest(config if config is not None
-                            else MachineConfig())[:12]
 
 
 @dataclass

@@ -7,12 +7,14 @@ and predictors. :func:`get_layout` memoizes the generated layouts —
 simulation never mutates a layout, so sharing one object is safe.
 
 Grids are embarrassingly parallel: every cell is an independent
-simulation. :func:`execute_cells` runs a grid's store misses across a
-:class:`~concurrent.futures.ProcessPoolExecutor`, retrying transient
-worker failures with bounded backoff. It is the local pool of the sweep
-executor (:mod:`repro.sweeps.executor`), the one grid path: figures,
-``repro sweep run`` and ``repro suite`` all resolve their grids there
-(the latter two through :func:`repro.experiments.common.collect`).
+simulation. :func:`execute_cells` runs a grid's store misses through
+:func:`simulate_cell`, the one cell worker (the job server's too),
+across a :class:`~concurrent.futures.ProcessPoolExecutor`, retrying
+transient worker failures with bounded backoff. It is the local pool of
+the sweep executor (:mod:`repro.sweeps.executor`), the one grid path:
+figures, ``repro sweep run`` and ``repro suite`` all resolve their
+grids there (the latter two through
+:func:`repro.experiments.common.collect`).
 
 The worker count resolves explicit argument > ``REPRO_JOBS`` env >
 serial (see :func:`resolve_jobs`).
@@ -23,10 +25,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.simulator.config import MachineConfig
-from repro.simulator.manifest import config_hash
+from repro.simulator.config import MachineConfig, config_from_payload, config_hash
 from repro.simulator.policies import build_machine, get_policy
 from repro.simulator.stats import SimulationStats
 from repro.utils import pool_child_init
@@ -40,10 +41,11 @@ from repro.workloads.profiles import external_benchmark, get_profile
 DEFAULT_INSTRUCTIONS = 400_000
 DEFAULT_WARMUP = 120_000
 
-#: retry budget for transient worker failures (per cell, beyond try #1)
+#: retry budget for transient worker failures (per cell, beyond try #1),
+#: in the sweep executor's local pool and the job server alike
 DEFAULT_RETRIES = 2
 #: base backoff between retry rounds, doubled each round
-_BACKOFF_S = 0.25
+DEFAULT_BACKOFF_S = 0.25
 
 #: memoized layouts, keyed by (benchmark, seed); layouts are immutable
 #: during simulation (walkers keep their own pattern/call-stack state)
@@ -100,7 +102,8 @@ def run_benchmark(benchmark: str, policy: str,
     :mod:`repro.simulator.cache`): ``store``, or the default store
     (:func:`~repro.simulator.cache.open_store`) when it is None. Pass
     ``use_cache=False`` to force a fresh simulation; it is then written
-    only to a ``store`` passed in.
+    only to a ``store`` passed in, labelled ``run`` (see
+    :func:`cell_meta`).
 
     ``telemetry`` (a :class:`repro.telemetry.TelemetrySession`) attaches
     a trace recorder for the duration of the run and harvests component
@@ -121,6 +124,8 @@ def run_benchmark(benchmark: str, policy: str,
         hit = store.get(key)
         if hit is not None:
             return hit
+    # wall time is store-row metadata, never simulation state
+    t0 = time.perf_counter()  # repro: lint-ignore[determinism-wallclock]
     layout = get_layout(benchmark, seed=seed)
     machine = build_machine(layout, profile, spec, config=config, seed=seed)
     if telemetry is not None:
@@ -131,55 +136,70 @@ def run_benchmark(benchmark: str, policy: str,
         if telemetry is not None:
             telemetry.detach(machine)
     if store is not None:
-        store.put(key, stats, meta={
-            "benchmark": benchmark, "policy": spec.name, "seed": seed,
-            "instructions": instructions, "warmup": warmup,
-            "config_hash": config_hash(config), "worker": "main",
-        })
+        # repro: lint-ignore[determinism-wallclock]
+        wall = time.perf_counter() - t0
+        store.put(key, stats, meta=cell_meta(
+            benchmark, spec.name, seed, instructions, warmup, config,
+            wall_time=wall, worker="main", attempts=1, label="run"))
     return stats
+
+
+def cell_meta(benchmark: str, policy: str, seed: int, instructions: int,
+              warmup: int, config: Optional[MachineConfig], wall_time: float,
+              worker: str, attempts: int, label: str) -> Dict[str, object]:
+    """The store-row metadata of one simulated cell, one shape for all.
+
+    :func:`run_benchmark`, the sweep executor and the job server pass it
+    to :meth:`~repro.simulator.cache.ResultStore.put`, which adds the
+    ``code_version`` column. ``label`` names the writer: ``run``,
+    ``sweep:<name>`` or ``job:<id>``.
+    """
+    return {"benchmark": benchmark, "policy": policy, "seed": seed,
+            "instructions": instructions, "warmup": warmup,
+            "config_hash": config_hash(config), "wall_time": wall_time,
+            "worker": worker, "attempts": attempts, "label": label}
 
 
 # ----------------------------------------------------------------------
 # grid execution
 # ----------------------------------------------------------------------
-def _simulate_cell(cell: tuple
-                   ) -> Tuple[SimulationStats, float, int, Optional[dict]]:
-    """Pool worker: simulate one cell, bypassing the result store.
+def simulate_cell(payload: Mapping[str, Any]
+                  ) -> Tuple[SimulationStats, float, str, Optional[dict]]:
+    """Pool worker: simulate one cell from its wire form, store bypassed.
 
-    The parent already filtered store hits and stores the result itself,
-    so workers never touch the store.
-    ``cell`` is ``(benchmark, spec, instructions, warmup, config, seed)``.
-
-    When ``REPRO_TELEMETRY`` is on, each cell records through its own
-    :class:`~repro.telemetry.TelemetrySession` (sized by
-    ``REPRO_TELEMETRY_CAPACITY`` / ``REPRO_TELEMETRY_SAMPLE``) and the
-    session summary rides back as the fourth tuple element for the
-    manifest; otherwise that element is None and the simulation takes
-    the zero-overhead null-handle path.
+    ``payload`` is :meth:`~repro.sweeps.plan.PlanCell.payload` or a
+    server job's normalized payload; the caller filtered the store hits
+    and writes the result. Returns ``(stats, wall_time, "pid:<n>",
+    telemetry)``. With ``REPRO_TELEMETRY`` on, the cell records through
+    its own :class:`~repro.telemetry.TelemetrySession` and ``telemetry``
+    is its summary; otherwise it is None (the null-handle path).
     """
     from repro.telemetry import TelemetrySession, telemetry_enabled
 
-    benchmark, spec, instructions, warmup, config, seed = cell
     session = TelemetrySession.from_env() if telemetry_enabled() else None
-    # wall time is manifest metadata, never simulation state
+    # wall time is store-row metadata, never simulation state
     t0 = time.perf_counter()  # repro: lint-ignore[determinism-wallclock]
     # looked up in this module's globals at call time, so a wrapper set
     # on ``runner.run_benchmark`` before the pool forks reaches workers
-    stats = run_benchmark(benchmark, spec, instructions=instructions,
-                          warmup=warmup, config=config, seed=seed,
-                          use_cache=False, telemetry=session)
+    stats = run_benchmark(payload["benchmark"], get_policy(payload["policy"]),
+                          instructions=payload["instructions"],
+                          warmup=payload["warmup"],
+                          config=config_from_payload(payload.get("config")),
+                          seed=payload["seed"], use_cache=False,
+                          telemetry=session)
     # repro: lint-ignore[determinism-wallclock]
     wall = time.perf_counter() - t0
     summary = session.summary() if session is not None else None
-    return stats, wall, os.getpid(), summary
+    return stats, wall, "pid:%d" % os.getpid(), summary
 
 
-def execute_cells(pending: Dict[str, tuple], jobs: int, retries: int,
+def execute_cells(pending: Mapping[str, dict], jobs: int, retries: int,
                   ) -> Tuple[Dict[str, Tuple[SimulationStats, float, str,
                                              Optional[dict]]],
                              Dict[str, int], Dict[str, str]]:
     """Run the store-miss cells, in-process (``jobs==1``) or in a pool.
 
+    ``pending`` maps run-key to payload (see :func:`simulate_cell`).
     Returns ``(results, attempts, errors)`` where ``results`` maps
     run-key to ``(stats, wall_time, worker_id, telemetry_summary)``.
     Cells that raised are retried up to ``retries`` extra rounds with
@@ -194,29 +214,28 @@ def execute_cells(pending: Dict[str, tuple], jobs: int, retries: int,
         if not remaining:
             break
         if round_no:
-            time.sleep(_BACKOFF_S * (2 ** (round_no - 1)))
-        failed: Dict[str, tuple] = {}
+            time.sleep(DEFAULT_BACKOFF_S * (2 ** (round_no - 1)))
+        failed: Dict[str, dict] = {}
         errors = {}
         if jobs <= 1:
-            for key, cell in remaining.items():
+            for key, payload in remaining.items():
                 attempts[key] += 1
                 try:
-                    stats, wall, _pid, tel = _simulate_cell(cell)
+                    stats, wall, _, tel = simulate_cell(payload)
                     results[key] = (stats, wall, "main", tel)
                 except Exception as exc:  # noqa: BLE001 - retried below
-                    failed[key] = cell
+                    failed[key] = payload
                     errors[key] = repr(exc)
         else:
             with ProcessPoolExecutor(max_workers=jobs,
                                      initializer=pool_child_init) as pool:
-                futures = {pool.submit(_simulate_cell, cell): key
-                           for key, cell in remaining.items()}
+                futures = {pool.submit(simulate_cell, payload): key
+                           for key, payload in remaining.items()}
                 for future in as_completed(futures):
                     key = futures[future]
                     attempts[key] += 1
                     try:
-                        stats, wall, pid, tel = future.result()
-                        results[key] = (stats, wall, "pid:%d" % pid, tel)
+                        results[key] = future.result()
                     except Exception as exc:  # noqa: BLE001 - retried below
                         failed[key] = remaining[key]
                         errors[key] = repr(exc)

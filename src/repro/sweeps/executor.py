@@ -7,10 +7,12 @@ resolves every cell in two steps:
    :class:`~repro.simulator.cache.ResultStore`; a lookup only reads,
    so a warm re-run writes nothing to the store.
 2. **execute** — the misses are the *dirty set*. They run either
-   on a local process pool (:func:`~repro.simulator.runner.execute_cells`,
-   in waves of ``4 x jobs`` cells) or against a running ``repro serve``
-   via :class:`ServiceClient`, with at most ``max_in_flight``
-   submissions outstanding. A local cell whose store write fails
+   on a local process pool (:func:`~repro.simulator.runner.execute_cells`
+   over the cells' payloads, in waves of ``4 x jobs`` cells) or against
+   a running ``repro serve`` via :class:`ServiceClient`, with at most
+   ``max_in_flight`` submissions outstanding; both simulate in
+   :func:`~repro.simulator.runner.simulate_cell`. A local cell's store
+   row is labelled ``sweep:<name>``; one whose store write fails
    (``OSError`` or ``sqlite3.Error``, e.g. a full disk) is recorded as
    failed, as the server fails such a job, and the rest go on.
 
@@ -43,10 +45,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import config_from_payload
-from repro.simulator.manifest import config_hash
-from repro.simulator.policies import get_policy
-from repro.simulator.runner import DEFAULT_RETRIES, execute_cells, resolve_jobs
+from repro.simulator.config import config_from_payload
+from repro.simulator.runner import (
+    DEFAULT_RETRIES,
+    cell_meta,
+    execute_cells,
+    resolve_jobs,
+)
 from repro.simulator.stats import SimulationStats
 from repro.sweeps.plan import PlanCell, SweepPlan
 
@@ -248,26 +253,19 @@ def _run_local(dirty: List[PlanCell], report: SweepReport, store,
     wave_size = max(4 * jobs, 8)
     for start in range(0, len(dirty), wave_size):
         wave = dirty[start:start + wave_size]
-        pending = {cell.key: (cell.benchmark, get_policy(cell.policy),
-                              cell.instructions, cell.warmup,
-                              config_from_payload(cell.config), cell.seed)
-                   for cell in wave}
-        computed, attempts, errors = execute_cells(pending, jobs, retries)
+        computed, attempts, errors = execute_cells(
+            {cell.key: cell.payload() for cell in wave}, jobs, retries)
         for cell in wave:
             worker, telemetry = "none", None
             if cell.key in computed:
                 stats, wall, worker, telemetry = computed[cell.key]
                 try:
-                    store.put(cell.key, stats, meta={
-                        "benchmark": cell.benchmark, "policy": cell.policy,
-                        "seed": cell.seed, "instructions": cell.instructions,
-                        "warmup": cell.warmup,
-                        "config_hash": config_hash(
-                            config_from_payload(cell.config)),
-                        "wall_time": wall, "worker": worker,
-                        "attempts": attempts[cell.key],
-                        "label": "sweep:%s" % report.name,
-                    }, telemetry=telemetry)
+                    store.put(cell.key, stats, meta=cell_meta(
+                        cell.benchmark, cell.policy, cell.seed,
+                        cell.instructions, cell.warmup,
+                        config_from_payload(cell.config), wall, worker,
+                        attempts[cell.key], "sweep:%s" % report.name),
+                        telemetry=telemetry)
                 except (OSError, sqlite3.Error) as exc:
                     report.record(cell, "failed", None,
                                   error="store write failed: %r" % (exc,),

@@ -27,8 +27,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.service.jobs import config_from_payload
 from repro.simulator.cache import ResultStore
+from repro.simulator.config import config_from_payload
 from repro.sweeps.spec import ConfigVariant, SweepSpec
 from repro.utils import freeze, json_digest
 

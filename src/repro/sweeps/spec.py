@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.service.jobs import config_from_payload
+from repro.simulator.config import config_from_payload
 from repro.simulator.policies import POLICIES
 from repro.workloads import BENCHMARK_NAMES, known_benchmark_names
 

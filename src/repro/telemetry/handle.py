@@ -32,7 +32,7 @@ import os
 def telemetry_enabled() -> bool:
     """True when the ``REPRO_TELEMETRY`` environment switch is on.
 
-    Drivers (the suite runner, ``repro bench``) consult this to decide
+    Drivers (the cell worker, ``repro bench``) consult this to decide
     whether to attach sessions; the simulator itself never reads it —
     attachment is always explicit.
     """

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.workloads.profiles import BENCHMARK_NAMES
 
 
 @pytest.fixture(autouse=True)
@@ -29,13 +30,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite", "--no-cache"])
 
-    def test_rejects_unknown_benchmark(self):
+    def test_rejects_unknown_benchmark(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bogus", "baseline"])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["suite", "--benchmarks", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown name 'bogus'" in capsys.readouterr().err
+        assert build_parser().parse_args(["suite"]).benchmarks == list(
+            BENCHMARK_NAMES)
 
-    def test_rejects_unknown_policy(self):
+    def test_rejects_unknown_policy(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "noop", "bogus"])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["suite", "--policies", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown name 'bogus'" in capsys.readouterr().err
 
     def test_figure_ids(self):
         for fig in FIGURES:
@@ -183,8 +194,9 @@ class TestCommands:
         assert "cells" in out and "hit rate" in out
 
     def test_suite_with_unknown_policy_writes_no_manifest(self, capsys):
-        with pytest.raises(KeyError, match="unknown policy 'bogus'"):
+        with pytest.raises(SystemExit) as exc:
             main(["suite", "--benchmarks", "noop", "--policies", "bogus"])
+        assert exc.value.code == 2
         assert main(["manifest"]) == 1
 
     def test_manifest_cells_listing(self, capsys):

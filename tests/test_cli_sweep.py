@@ -47,6 +47,17 @@ class TestParser:
         assert args.sweep_command == "status"
         assert args.store == "/tmp/s"
 
+    def test_plan_takes_no_state_file(self, spec_path):
+        # only run and status read the resumable state
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "plan", spec_path,
+                                       "--state", "/nonexistent/x.json"])
+        assert exc.value.code == 2
+        for verb in ("run", "status"):
+            args = build_parser().parse_args(["sweep", verb, spec_path,
+                                              "--state", "s.json"])
+            assert args.state == "s.json"
+
     def test_sweep_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep"])

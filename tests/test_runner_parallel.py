@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.experiments.common import collect
 from repro.simulator import manifest as manifest_mod
 from repro.simulator import runner
+from repro.simulator.config import config_hash
 from repro.simulator.runner import (
     DEFAULT_RETRIES,
     clear_layout_cache,
@@ -155,7 +156,7 @@ class TestDeterminism:
 
 class TestRetries:
     def test_transient_failure_retried_serial(self, tmp_cache, monkeypatch):
-        real = runner._simulate_cell
+        real = runner.simulate_cell
         failures = {"left": 1}
 
         def flaky(cell):
@@ -164,7 +165,7 @@ class TestRetries:
                 raise RuntimeError("transient worker failure")
             return real(cell)
 
-        monkeypatch.setattr(runner, "_simulate_cell", flaky)
+        monkeypatch.setattr(runner, "simulate_cell", flaky)
         manifest = manifest_mod.RunManifest(label="retry-test")
         res = grid(["baseline"], ["noop"], jobs=1, manifest=manifest)
         assert res["noop"]["baseline"].instructions > 0
@@ -180,8 +181,8 @@ class TestRetries:
             attempts["n"] += 1
             raise RuntimeError("permanent failure")
 
-        monkeypatch.setattr(runner, "_simulate_cell", broken)
-        monkeypatch.setattr(runner, "_BACKOFF_S", 0.0)
+        monkeypatch.setattr(runner, "simulate_cell", broken)
+        monkeypatch.setattr(runner, "DEFAULT_BACKOFF_S", 0.0)
         manifest = manifest_mod.RunManifest(label="fail-test")
         with pytest.raises(RuntimeError,
                            match=r"^1 grid cell\(s\) failed: noop "
@@ -198,14 +199,14 @@ class TestRetries:
 
 class TestGridDedup:
     def test_duplicate_cells_simulate_once(self, tmp_cache, monkeypatch):
-        real = runner._simulate_cell
+        real = runner.simulate_cell
         simulated = []
 
         def counting(cell):
             simulated.append(cell)
             return real(cell)
 
-        monkeypatch.setattr(runner, "_simulate_cell", counting)
+        monkeypatch.setattr(runner, "simulate_cell", counting)
         manifest = manifest_mod.RunManifest(label="dedup-test")
         res = grid(["baseline", "baseline"], ["noop"], jobs=1,
                    manifest=manifest)
@@ -218,7 +219,7 @@ class TestGridDedup:
 
     def test_warm_cells_not_resimulated(self, tmp_cache, monkeypatch):
         grid(POLICIES, ["noop"], jobs=1)
-        monkeypatch.setattr(runner, "_simulate_cell", lambda cell: (
+        monkeypatch.setattr(runner, "simulate_cell", lambda cell: (
             (_ for _ in ()).throw(AssertionError("must not simulate"))))
         manifest = manifest_mod.RunManifest(label="warm-test")
         grid(POLICIES, ["noop"], jobs=1, manifest=manifest)
@@ -275,7 +276,7 @@ class TestManifestEmission:
                       "wall_time", "worker", "attempts", "status", "stats",
                       "telemetry"):
             assert field in record
-        assert record["config_hash"] == manifest_mod.config_hash(None)
+        assert record["config_hash"] == config_hash(None)
         assert data["summary"]["cache_misses"] == 1
 
         assert main(argv) == 0

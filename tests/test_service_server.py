@@ -137,6 +137,52 @@ class TestExecuteAndStore:
         b = h.client().result(second["id"])["stats"]
         assert a == b
 
+    def test_every_writer_stores_one_row_shape(self, harness, tmp_path):
+        from repro.sweeps.executor import run_sweep
+        from repro.sweeps.plan import compile_spec
+        from repro.sweeps.spec import parse_spec
+
+        key = ResultStore.cell_key(CELL["benchmark"], CELL["policy"],
+                                   CELL["instructions"], CELL["warmup"])
+        metas = {}
+        with ResultStore(tmp_path / "run") as store:
+            run_benchmark(use_cache=False, seed=1, store=store, **CELL)
+            metas["run"] = store.get_row(key)["manifest"]
+        plan = compile_spec(parse_spec({
+            "name": "shape",
+            "axes": {"benchmark": [CELL["benchmark"]],
+                     "policy": [CELL["policy"]]},
+            "defaults": {"instructions": CELL["instructions"],
+                         "warmup": CELL["warmup"]}}))
+        with ResultStore(tmp_path / "sweep") as store:
+            run_sweep(plan, store=store, jobs=1, state_path="")
+            metas["sweep:shape"] = store.get_row(key)["manifest"]
+        h = harness(store=ResultStore(tmp_path / "served"))
+        job = h.client().wait(h.client().submit(**CELL)["id"], timeout=60)
+        metas["job:" + job["id"]] = h.server.store.get_row(key)["manifest"]
+        # each row names its writer, and all three carry the same keys
+        assert {meta["label"] for meta in metas.values()} == set(metas)
+        assert sorted(metas["run"]) == sorted([
+            "benchmark", "policy", "seed", "instructions", "warmup",
+            "config_hash", "wall_time", "worker", "attempts", "label"])
+        assert all(sorted(meta) == sorted(metas["run"])
+                   for meta in metas.values())
+
+    def test_served_cell_stores_its_telemetry(self, harness, tmp_path,
+                                              monkeypatch):
+        # the server's pool children inherit the switch, as a grid's do
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        h = harness(store=ResultStore(tmp_path / "store"))
+        client = h.client()
+        done = client.wait(client.submit(**CELL)["id"], timeout=60)
+        assert done["state"] == JobState.DONE
+        telemetry = h.server.store.get_telemetry(done["key"])
+        assert telemetry is not None
+        assert telemetry["recorder"]["events_offered"] > 0
+        # the recording changes no stat
+        local = run_benchmark(use_cache=False, seed=1, **CELL)
+        assert client.result(done["id"])["stats"] == local.to_dict()
+
     def test_result_before_done_is_409(self, harness):
         h = harness(allow_faults=True, timeout=1.0, retries=0)
         client = h.client()

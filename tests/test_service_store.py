@@ -332,7 +332,7 @@ class TestRunnerIntegration:
             raise AssertionError("store re-run must not simulate: %r"
                                  % (cell,))
 
-        monkeypatch.setattr(runner_mod, "_simulate_cell", boom)
+        monkeypatch.setattr(runner_mod, "simulate_cell", boom)
         second = collect(policies, ["noop"], 2000, 300, n_jobs=1)
         for policy in policies:
             assert (second["noop"][policy].to_dict()
@@ -344,7 +344,7 @@ class TestRunnerIntegration:
 
         monkeypatch.setenv("REPRO_STORE", str(store.root))
         collect(["baseline"], ["noop"], 2000, 300, n_jobs=1)
-        monkeypatch.setattr(runner_mod, "_simulate_cell", lambda cell: (
+        monkeypatch.setattr(runner_mod, "simulate_cell", lambda cell: (
             (_ for _ in ()).throw(AssertionError("must not simulate"))))
         manifest = RunManifest(label="again")
         collect(["baseline"], ["noop"], 2000, 300, n_jobs=1,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.simulator import manifest as manifest_mod
-from repro.simulator.config import MachineConfig
+from repro.simulator.config import MachineConfig, config_hash
 from repro.simulator.manifest import CellRecord, RunManifest
 
 
@@ -26,12 +26,11 @@ def _record(benchmark="noop", policy="baseline", cache_hit=False,
 
 class TestConfigHash:
     def test_none_matches_default(self):
-        assert (manifest_mod.config_hash(None)
-                == manifest_mod.config_hash(MachineConfig()))
+        assert config_hash(None) == config_hash(MachineConfig())
 
     def test_differs_for_non_default(self):
-        assert (manifest_mod.config_hash(None)
-                != manifest_mod.config_hash(MachineConfig(btb_entries=4096)))
+        assert (config_hash(None)
+                != config_hash(MachineConfig(btb_entries=4096)))
 
 
 class TestSummary:
