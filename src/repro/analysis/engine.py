@@ -110,10 +110,6 @@ class ModuleInfo:
         parts = self.name.split(".")
         return parts[1] if len(parts) > 1 else ""
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """True when an inline suppression covers ``rule`` at ``line``."""
-        return self.suppression_line(rule, line) is not None
-
     def suppression_line(self, rule: str, line: int) -> Optional[int]:
         """The line of the suppression covering ``rule`` at ``line``
         (the flagged line itself or a comment-only line above), or

@@ -104,16 +104,6 @@ def class_is_slotted(classdef: ast.ClassDef) -> bool:
     return False
 
 
-def _is_dataclass(classdef: ast.ClassDef) -> bool:
-    for deco in classdef.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return True
-    return False
-
-
 def _is_exempt(classdef: ast.ClassDef) -> bool:
     for base in classdef.bases:
         name = base.attr if isinstance(base, ast.Attribute) else (

@@ -188,10 +188,3 @@ class BranchPredictionUnit:
             self.return_mispredicts += 1
             return BlockPrediction(MispredictKind.RETURN_MISPREDICT, predicted)
         return _CORRECT
-
-    # -- reporting ----------------------------------------------------------
-    @property
-    def total_mispredicts(self) -> int:
-        """All resteer-causing events seen so far."""
-        return (self.cond_mispredicts + self.indirect_mispredicts
-                + self.return_mispredicts + self.btb_misses)

@@ -4,8 +4,8 @@ Commands:
 
 * ``run`` — simulate one benchmark under one policy and print its stats;
 * ``suite`` — run a benchmark x policy grid and print speedups;
-* ``figure`` — regenerate one paper figure/table by id (fig01..fig16,
-  tab01/tab04/tab05) or ``all``;
+* ``figure`` — print one artifact of :mod:`repro.experiments`' table by
+  id (fig01..fig16, tab01/tab04/tab05, ext_related_work) or ``all``;
 * ``bench`` — time representative simulation cells and write
   ``BENCH_runner.json`` (see :mod:`repro.bench`);
 * ``manifest`` — print the summary of a suite run's JSON manifest;
@@ -51,11 +51,11 @@ simulations.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from typing import Callable, Container, List, Optional, Sequence
 
+from repro.experiments import FIGURES, artifact_files
 from repro.simulator.cache import STORE_ENV, open_store
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
@@ -72,25 +72,6 @@ from repro.workloads.profiles import (
     get_profile,
     known_benchmark_names,
 )
-
-FIGURES = {
-    "fig01": "repro.experiments.fig01_topdown",
-    "fig03": "repro.experiments.fig03_prior_techniques",
-    "fig04": "repro.experiments.fig04_fec_fraction",
-    "fig09": "repro.experiments.fig09_mpki",
-    "fig10": "repro.experiments.fig10_speedup",
-    "fig11": "repro.experiments.fig11_late_prefetches",
-    "fig12": "repro.experiments.fig12_fec_stall_reduction",
-    "fig13": "repro.experiments.fig13_table_sensitivity",
-    "fig14": "repro.experiments.fig14_btb_sensitivity",
-    "fig15": "repro.experiments.fig15_storage_efficiency",
-    "fig16": "repro.experiments.fig16_trigger_distribution",
-    "tab01": "repro.experiments.tab01_config",
-    "tab04": "repro.experiments.tab04_ppki_accuracy",
-    "tab05": "repro.experiments.tab05_energy_area",
-    # extension (beyond the paper's figures)
-    "ext_related_work": "repro.experiments.ext_related_work",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stats-out", default=None, metavar="PATH",
                        help="also write the stats as a JSON run dump "
                             "(comparable with 'repro diff')")
-    p_run.add_argument("--telemetry", action="store_true",
-                       help="attach the telemetry recorder (implies a fresh "
-                            "simulation) and include its summary in "
-                            "--stats-out")
 
     p_suite = sub.add_parser("suite", help="benchmark x policy grid")
     p_suite.add_argument("--benchmarks", default="all",
@@ -434,16 +411,10 @@ def _run_dump(args: argparse.Namespace, stats, session=None,
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: one benchmark x policy."""
-    session = None
-    if args.telemetry:
-        from repro.telemetry import TelemetrySession
-
-        session = TelemetrySession.from_env()
     stats = run_benchmark(args.benchmark, args.policy,
                           instructions=args.instructions,
                           warmup=args.warmup, seed=args.seed,
                           use_cache=not args.no_cache,
-                          telemetry=session,
                           store=open_store())
     if args.stats_out:
         import json
@@ -454,8 +425,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(out, "w") as fh:
             # no sort_keys: the stats dict's declaration order (pipeline
             # order) is what makes diff's "first diverging counter" useful
-            json.dump(_run_dump(args, stats, session=session), fh,
-                      indent=1)
+            json.dump(_run_dump(args, stats), fh, indent=1)
             fh.write("\n")
         print(f"run dump: {out}")
     td = stats.topdown
@@ -504,15 +474,14 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    """``repro figure``: regenerate paper artifacts."""
+    """``repro figure``: print paper artifacts' text tables."""
     if args.jobs is not None:
         # the figure drivers read REPRO_JOBS through experiments.common
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    for name in names:
-        module = importlib.import_module(FIGURES[name])
-        print(module.render(module.run()))
-        print()
+    figures = sorted(FIGURES) if args.figure == "all" else [args.figure]
+    for figure in figures:
+        name = FIGURES[figure]
+        print(artifact_files(name)[name + ".txt"])
     return 0
 
 
@@ -580,10 +549,11 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     sample = (args.sample_every if args.sample_every is not None
               else int(os.environ.get("REPRO_TELEMETRY_SAMPLE", "1")))
     session = TelemetrySession(capacity=capacity, sample_every=sample)
+    # a traced run simulates anyway, and must leave the store alone
     stats = run_benchmark(args.benchmark, args.policy,
                           instructions=args.instructions,
                           warmup=args.warmup, seed=args.seed,
-                          telemetry=session)
+                          use_cache=False, telemetry=session)
     prefix = args.out or "%s-%s-s%d" % (args.benchmark, args.policy,
                                         args.seed)
     meta = {"benchmark": args.benchmark, "policy": args.policy,

@@ -50,16 +50,6 @@ class FECEvent:
         return self.starvation_cycles > threshold
 
 
-@dataclass
-class _ResteerRecord:
-    """Machine-side record of the most recent resteer (imported here only
-    for typing; the simulator owns the instances)."""
-
-    rid: int
-    kind: MispredictKind
-    trigger_line: int
-
-
 class FECClassifier:
     """Retire-time FEC qualification and statistics."""
 

@@ -27,21 +27,20 @@ from repro.utils import geomean
 #: ablations run on a fast, representative subset by default
 DEFAULT_BENCHMARKS = ("cassandra", "tpcc", "verilator")
 
-#: ablations default to a half-size budget: they compare *trends* across
-#: variants, which converge earlier than the absolute figures
-ABLATION_INSTRUCTIONS = 200_000
-ABLATION_WARMUP = 60_000
+#: ablations default to a half-size budget (instructions, warmup): they
+#: compare *trends* across variants, which converge earlier than the
+#: absolute figures
+ABLATION_BUDGET = (200_000, 60_000)
 
-
-def _budget(instructions, warmup):
-    import os
-
-    if instructions is None:
-        instructions = int(os.environ.get("REPRO_INSTRUCTIONS",
-                                          ABLATION_INSTRUCTIONS))
-    if warmup is None:
-        warmup = int(os.environ.get("REPRO_WARMUP", ABLATION_WARMUP))
-    return instructions, warmup
+#: the title each study's table is rendered under
+TITLES = {
+    "candidate_filter": "PDIP candidate filters",
+    "emissary_knobs": "EMISSARY protected ways / promotion",
+    "ftq_depth": "FTQ depth vs PDIP gain",
+    "insertion_probability": "PDIP insertion probability",
+    "itlb": "iTLB sensitivity",
+    "table_geometry": "PDIP table geometry",
+}
 
 
 def _geomean_speedup(benches: Sequence[str], spec, base_spec,
@@ -69,7 +68,7 @@ def insertion_probability(instructions: Optional[int] = None,
                           benchmarks: Optional[Iterable[str]] = None,
                           seed: int = 1) -> Dict[str, float]:
     """Sweep the PDIP insertion probability (Section 5.3)."""
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     base = PolicySpec("baseline", "baseline")
     out = {}
@@ -85,7 +84,7 @@ def candidate_filter(instructions: Optional[int] = None,
                      benchmarks: Optional[Iterable[str]] = None,
                      seed: int = 1) -> Dict[str, float]:
     """Sweep the PDIP candidate filters (Section 5.3)."""
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     base = PolicySpec("baseline", "baseline")
     variants = {
@@ -108,7 +107,7 @@ def table_geometry(instructions: Optional[int] = None,
                    benchmarks: Optional[Iterable[str]] = None,
                    seed: int = 1) -> Dict[str, float]:
     """Sweep targets-per-entry and mask width (Section 5.1)."""
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     base = PolicySpec("baseline", "baseline")
     variants = {
@@ -131,7 +130,7 @@ def ftq_depth(instructions: Optional[int] = None,
               benchmarks: Optional[Iterable[str]] = None,
               seed: int = 1) -> Dict[str, float]:
     """PDIP gain at several FTQ depths (paper baseline: 24 entries)."""
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     base = PolicySpec("baseline", "baseline")
     pdip = _pdip_spec("pdip_ftq")
@@ -158,7 +157,7 @@ def emissary_knobs(instructions: Optional[int] = None,
     from repro.simulator.policies import build_machine, get_policy
     from repro.workloads.profiles import get_profile
 
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     out = {}
     variants = [(4, 0.25), (8, 0.25), (12, 0.25), (8, 1 / 32), (8, 1.0)]
@@ -193,7 +192,7 @@ def itlb(instructions: Optional[int] = None,
     """
     from repro.memory.hierarchy import HierarchyConfig
 
-    instructions, warmup = _budget(instructions, warmup)
+    instructions, warmup = common.budget(instructions, warmup, ABLATION_BUDGET)
     benches = common.suite(benchmarks, default=DEFAULT_BENCHMARKS)
     base = PolicySpec("baseline", "baseline")
     pdip = _pdip_spec("pdip_itlb")

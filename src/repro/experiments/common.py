@@ -26,13 +26,14 @@ SWEEP_BENCHMARKS = (
 
 
 def budget(instructions: Optional[int] = None,
-           warmup: Optional[int] = None) -> Tuple[int, int]:
-    """Resolve the instruction budget: explicit args > env > defaults."""
+           warmup: Optional[int] = None,
+           default: Tuple[int, int] = (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP),
+           ) -> Tuple[int, int]:
+    """Resolve the instruction budget: explicit args > env > ``default``."""
     if instructions is None:
-        instructions = int(os.environ.get("REPRO_INSTRUCTIONS",
-                                          DEFAULT_INSTRUCTIONS))
+        instructions = int(os.environ.get("REPRO_INSTRUCTIONS", default[0]))
     if warmup is None:
-        warmup = int(os.environ.get("REPRO_WARMUP", DEFAULT_WARMUP))
+        warmup = int(os.environ.get("REPRO_WARMUP", default[1]))
     return instructions, warmup
 
 

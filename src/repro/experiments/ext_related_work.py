@@ -75,12 +75,3 @@ def render_svg(result: dict) -> str:
     return common.speedup_bars_svg(
         result, POLICIES, LABELS,
         "Extension: related-work prefetchers")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

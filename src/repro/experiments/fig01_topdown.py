@@ -44,12 +44,3 @@ def render(result: dict) -> str:
               % result["benchmark"])
     chart = stacked_pct_bar(result["measured"], title="measured slots:")
     return table + "\n\n" + chart
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -60,12 +60,3 @@ def render_svg(result: dict) -> str:
     }
     return grouped_bar_svg(series, title="Figure 4: FEC concentration",
                            ylabel="%")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -65,12 +65,3 @@ def render_svg(result: dict) -> str:
     """SVG version of the grouped-bar figure."""
     return common.speedup_bars_svg(result, POLICIES, LABELS,
                                    "Figure 10: IPC speedup over FDIP")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -51,12 +51,3 @@ def render_svg(result: dict) -> str:
     }
     return grouped_bar_svg(series, title="Figure 11: late prefetches",
                            ylabel="% late")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

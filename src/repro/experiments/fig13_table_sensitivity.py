@@ -48,12 +48,3 @@ def render_svg(result: dict) -> str:
     """SVG version of the grouped-bar figure."""
     return common.speedup_bars_svg(result, POLICIES, LABELS,
                                    "Figure 13: PDIP table size sensitivity")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

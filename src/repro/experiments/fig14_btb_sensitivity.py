@@ -79,12 +79,3 @@ def render_svg(result: dict) -> str:
     }
     return line_svg(series, title="Figure 14: gain vs BTB size",
                     xlabel="BTB entries (K)", ylabel="% IPC gain")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,13 +17,12 @@ from repro.experiments.fig14_btb_sensitivity import (
     btb_kb,
     run as run_btb_sweep,
 )
+from repro.simulator.policies import get_policy
 from repro.utils import geomean
 
 SERIES = ("baseline", "pdip_11", "pdip_44", "eip_46")
 LABELS = {"baseline": "FDIP", "pdip_11": "PDIP(11)",
           "pdip_44": "PDIP(44)", "eip_46": "EIP(46)"}
-PREFETCHER_KB = {"baseline": 0.0, "pdip_11": 10.875, "pdip_44": 43.5,
-                 "eip_46": 46.0}
 
 
 def run(instructions: Optional[int] = None, warmup: Optional[int] = None,
@@ -44,7 +43,7 @@ def run(instructions: Optional[int] = None, warmup: Optional[int] = None,
                 continue
             gain = (geomean([per_bench[b] / ref[b] for b in benches])
                     - 1.0) * 100.0
-            storage = btb_kb(entries) + PREFETCHER_KB[policy]
+            storage = btb_kb(entries) + get_policy(policy).prefetcher_storage_kb
             points[policy].append(
                 {"btb_entries": entries, "storage_kb": storage,
                  "gain_pct": gain})
@@ -83,12 +82,3 @@ def render_svg(result: dict) -> str:
     return line_svg(series, title="Figure 15: gain vs storage",
                     xlabel="BTB + prefetcher KB",
                     ylabel="% gain vs 4K-BTB FDIP")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -56,12 +56,3 @@ def render_svg(result: dict) -> str:
     return grouped_bar_svg(series,
                            title="Figure 16: trigger distribution",
                            ylabel="% of issued prefetches")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -50,12 +50,3 @@ def render(result: dict) -> str:
     return common.format_table(
         ["field", "paper (Table 1)", "reproduction (scaled)"], rows,
         title="Table 1: processor configuration")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

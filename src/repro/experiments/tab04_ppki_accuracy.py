@@ -44,12 +44,3 @@ def render(result: dict) -> str:
     return common.format_table(
         ["policy", "paper PPKI", "ours PPKI", "paper acc%", "ours acc%"],
         rows, title="Table 4: mean PPKI and prefetch accuracy")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

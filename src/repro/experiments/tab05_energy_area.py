@@ -42,12 +42,3 @@ def render(result: dict) -> str:
     return common.format_table(
         ["config", "KB", "paper E%", "ours E%", "paper A%", "ours A%"],
         rows, title="Table 5: PDIP energy and area overhead vs core")
-
-
-def main() -> None:
-    """Entry point: run with env-controlled budgets and print."""
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

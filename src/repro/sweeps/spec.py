@@ -60,6 +60,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.simulator.config import config_from_payload
 from repro.simulator.policies import POLICIES
+from repro.simulator.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.workloads import BENCHMARK_NAMES, known_benchmark_names
 
 __all__ = [
@@ -76,7 +77,8 @@ __all__ = [
 AXIS_NAMES = ("benchmark", "policy", "config", "seed", "instructions", "warmup")
 
 _SCALAR_AXES = ("benchmark", "policy", "seed", "instructions", "warmup")
-_DEFAULTS = {"seed": 1, "instructions": 400_000, "warmup": 120_000}
+_DEFAULTS = {"seed": 1, "instructions": DEFAULT_INSTRUCTIONS,
+             "warmup": DEFAULT_WARMUP}
 
 
 class SweepSpecError(ValueError):

@@ -155,23 +155,45 @@ def ingest_path(path: str, fmt: str = "auto",
                 digest=str(row["digest"]), source_sha=source_sha,
                 created=False, events=int(row["events"]),
                 instructions=int(row["instructions"]), downsample=None)
+    payload, digest, fmt, report = _ingest_cold(
+        path, fmt, budget, window, seed, store, name, source_sha)
+    return IngestReport(
+        source=path, format=fmt, digest=digest,
+        source_sha=source_sha, created=True,
+        events=report.events_kept,
+        instructions=report.instructions_kept, downsample=report)
+
+
+def _ingest_cold(path: str, fmt: str, budget: int, window: int, seed: int,
+                 store: Optional[ResultStore], name: str, source_sha: str,
+                 expect: str = ""
+                 ) -> Tuple[Dict[str, object], str, str, DownsampleReport]:
+    """Parse, derive, downsample and store: the cold ingest of *path*.
+
+    Returns ``(payload, digest, format, report)``, with the format
+    resolved. The trace row it writes is the same whoever asks, so a
+    later warm ingest of the file reports what a cold one would. A
+    non-empty *expect* digest that the file no longer ingests to raises
+    ``bundle-drift`` before anything is stored.
+    """
     meta, records = load_records(path, fmt)
+    fmt = str(meta.get("format", fmt))
     events = derive_block_events(records)
     payload, digest, report = ingest_events(
         events, int(meta.get("isize", DEFAULT_ISIZE)),  # type: ignore[arg-type]
         budget=budget, window=window, seed=seed)
+    if expect and digest != expect:
+        raise TraceIngestError(
+            "trace %s: source %s re-ingests to digest %s, expected %s"
+            % (name, path, digest[:12], expect[:12]),
+            category="bundle-drift")
     if store is not None:
         store.put_trace(payload, name=name, source_sha=source_sha,
-                        meta={"format": str(meta.get("format", fmt)),
-                              "source": path,
+                        meta={"format": fmt, "source": path,
                               "instructions": report.instructions_kept,
                               "budget": budget, "window": window,
                               "seed": seed})
-    return IngestReport(
-        source=path, format=str(meta.get("format", fmt)), digest=digest,
-        source_sha=source_sha, created=True,
-        events=report.events_kept,
-        instructions=report.instructions_kept, downsample=report)
+    return payload, digest, fmt, report
 
 
 def load_workload(name: str, digest: str,
@@ -197,24 +219,10 @@ def load_workload(name: str, digest: str,
             raise TraceIngestError(
                 "trace %s (digest %s) not in the store and no source path "
                 "to re-ingest from" % (name, digest[:12] or "?"))
-        meta, records = load_records(path, fmt)
-        events = derive_block_events(records)
-        payload, got, _report = ingest_events(
-            events, int(meta.get("isize", DEFAULT_ISIZE)),  # type: ignore[arg-type]
-            budget=budget, window=window, seed=seed)
-        if digest and got != digest:
-            raise TraceIngestError(
-                "trace %s: source %s re-ingests to digest %s, expected %s"
-                % (name, path, got[:12], digest[:12]),
-                category="bundle-drift")
-        digest = got
-        if store is not None:
-            store.put_trace(payload, name=name,
-                            source_sha=source_fingerprint(
-                                path, fmt, budget, window, seed),
-                            meta={"format": fmt, "source": path,
-                                  "budget": budget, "window": window,
-                                  "seed": seed})
+        payload, digest, _, _ = _ingest_cold(
+            path, fmt, budget, window, seed, store, name,
+            source_fingerprint(path, fmt, budget, window, seed),
+            expect=digest)
     events, isize = events_from_blob(payload)
     return synthesize(name, events, isize, digest=digest,
                       profile_overrides=profile_overrides,

@@ -124,10 +124,6 @@ class PathWalker:
                 return target
         return block.indirect_targets[-1]
 
-    @staticmethod
-    def _static_fallthrough(layout: CodeLayout, block: BasicBlock) -> Optional[int]:
-        return block.fallthrough
-
     def _fallthrough(self, block: BasicBlock) -> int:
         if block.fallthrough is None:
             raise ValueError("block %d falls off function end" % block.bid)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import fig10_speedup
 from repro.service.store import ResultStore
 from repro.simulator.cache import open_store
@@ -82,6 +83,13 @@ def nonblank(text: str):
     return [line for line in text.splitlines() if line.strip()]
 
 
+def rows_and_blobs(root: Path):
+    """Every row of ``store.sqlite`` (``iterdump()``) and every blob name."""
+    with closing(sqlite3.connect(str(root / "store.sqlite"))) as db:
+        rows = list(db.iterdump())
+    return rows, sorted(p.name for p in (root / "blobs").glob("*/*"))
+
+
 class TestReadsNeverWrite:
     def test_warm_figure_leaves_the_store_byte_identical(self, tmp_path,
                                                          monkeypatch):
@@ -112,6 +120,22 @@ class TestReadsNeverWrite:
         assert after == before
         figure = ROOT / "benchmarks" / "output" / "fig10_speedup.txt"
         assert nonblank(text) == nonblank(figure.read_text())
+
+    def test_trace_run_leaves_the_store_alone(self, tmp_path, monkeypatch,
+                                              capsys):
+        store = tmp_path / "store"
+        shutil.copytree(ROOT / ".repro-results" / "store", store)
+        before = rows_and_blobs(store)
+        monkeypatch.setenv("REPRO_STORE", str(store))
+        # a cell the committed store holds: noop/pdip_44, 20000 + 4000
+        try:
+            assert main(["trace", "run", "noop", "--instructions", "20000",
+                         "--warmup", "4000", "--seed", "1",
+                         "--out", str(tmp_path / "s1")]) == 0
+        finally:
+            open_store().close()
+        assert "run dump" in capsys.readouterr().out
+        assert rows_and_blobs(store) == before
 
 
 class TestTraceNames:

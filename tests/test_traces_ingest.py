@@ -141,6 +141,19 @@ class TestLoadWorkload:
         wl = load_workload("unit", report.digest, path=path)
         assert wl.digest == report.digest
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "auto"])
+    def test_reingest_stores_what_a_cold_ingest_does(self, tmp_path, fmt):
+        path = str(write_jsonl_file(tmp_path / "t.jsonl"))
+        cold = ingest_path(path, fmt=fmt)
+        store = ResultStore(str(tmp_path / "store"))
+        # a fresh store: the registered trace re-ingests from its source
+        load_workload("unit", cold.digest, store=store, path=path, fmt=fmt)
+        warm = ingest_path(path, fmt=fmt, store=store)
+        assert not warm.created
+        assert (warm.digest, warm.format, warm.events, warm.instructions) \
+            == (cold.digest, cold.format, cold.events, cold.instructions)
+        assert cold.format == "jsonl" and cold.instructions > 0
+
     def test_bundle_drift_detected(self, tmp_path):
         path = str(write_jsonl_file(tmp_path / "t.jsonl"))
         with pytest.raises(TraceIngestError) as exc:
