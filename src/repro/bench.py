@@ -19,7 +19,8 @@ Usage::
     python -m repro bench                  # default grid, write BENCH_runner.json
     python -m repro bench --quick          # small subset for CI smoke
     python -m repro bench --record-baseline benchmarks/bench_baseline.json
-    python -m repro bench --check          # fail (exit 1) on >tolerance regression
+    python -m repro bench --check          # fail (exit 1) on changed modelled
+                                           # work or >tolerance regression
 
 The bench refuses to run (exit 2) while ``REPRO_TELEMETRY=1`` is set:
 a score taken with the trace recorder attached measures telemetry
@@ -240,6 +241,8 @@ def run_bench(cells: List[BenchCell], repeats: int = 2,
         rec["norm_score"] = rec["cycles_per_sec"] / calib
         base = base_cells.get(cell.name)
         if base:
+            rec["baseline_simulated_cycles"] = base["simulated_cycles"]
+            rec["baseline_ipc"] = base["ipc"]
             rec["baseline_cycles_per_sec"] = base["cycles_per_sec"]
             rec["speedup_vs_baseline"] = (
                 rec["cycles_per_sec"] / base["cycles_per_sec"])
@@ -258,14 +261,25 @@ def run_bench(cells: List[BenchCell], repeats: int = 2,
 
 def check_regression(report: BenchReport,
                      tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
-    """Normalized-score regression check; returns failure messages.
+    """Modelled-work and normalized-score check; returns failure messages.
 
-    A cell fails when its host-normalized score drops more than
-    ``tolerance`` below the baseline's normalized score. Cells missing
-    from the baseline are skipped (new cells never gate).
+    A cell fails when it simulated something other than the baseline
+    cell of the same name (its ``simulated_cycles`` or ``ipc`` differs:
+    a faster core must model the same work), or when its host-normalized
+    score drops more than ``tolerance`` below the baseline's normalized
+    score. ``fast_forwarded_cycles`` is not compared, since a better
+    event horizon may skip more cycles of the same simulation. Cells
+    missing from the baseline are skipped (new cells never gate).
     """
     failures = []
     for rec in report.cells:
+        for field in ("simulated_cycles", "ipc"):
+            want = rec.get("baseline_" + field)
+            if want is not None and rec[field] != want:
+                failures.append(
+                    "%s: %s %r differs from the baseline's %r (the cell "
+                    "models different work)" % (rec["name"], field,
+                                                rec[field], want))
         ratio = rec.get("norm_ratio_vs_baseline")
         if not isinstance(ratio, float):
             continue
@@ -343,6 +357,7 @@ def main(args) -> int:
             for msg in failures:
                 print("REGRESSION: " + msg, file=sys.stderr)
             return 1
-        print("regression check passed (tolerance %.0f%%)"
+        print("regression check passed (same modelled work, "
+              "tolerance %.0f%%)"
               % (args.tolerance * 100))
     return 0

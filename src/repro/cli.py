@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record current scores as the baseline at PATH "
                               "and exit")
     p_bench.add_argument("--check", action="store_true",
-                         help="exit 1 if a cell's normalized score regresses "
-                              "beyond --tolerance vs the baseline")
+                         help="exit 1 if a cell's simulated cycles or IPC "
+                              "differ from the baseline's, or its normalized "
+                              "score regresses beyond --tolerance")
     p_bench.add_argument("--tolerance", type=float, default=None,
                          help="allowed normalized regression (default 0.20)")
 

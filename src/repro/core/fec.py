@@ -96,7 +96,8 @@ class FECClassifier:
             trigger = last_taken_line
 
         events = []
-        missed = list(dict.fromkeys(entry.missed_lines + entry.pending_lines))
+        missed = list(dict.fromkeys([*entry.missed_lines,
+                                     *entry.pending_lines]))
         for line in missed:
             event = FECEvent(
                 line=line,

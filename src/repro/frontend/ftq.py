@@ -2,8 +2,8 @@
 
 A FIFO of basic-block fetch targets produced by the IAG. Each entry
 remembers everything the later pipeline stages and the FEC classifier
-need: which lines the block spans, the per-line readiness from the FDIP
-prefetch, whether the block sits on a wrong path, how close behind a
+need: which lines the block spans, when the FDIP prefetch's fills are
+ready, whether the block sits on a wrong path, how close behind a
 resteer it was enqueued, and the decode-starvation cycles it caused while
 parked at the head.
 """
@@ -11,10 +11,13 @@ parked at the head.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from repro.branch.bpu import MispredictKind
 from repro.workloads.layout import BasicBlock
+
+#: hot-path copy of the no-resteer verdict every entry starts with
+_NO_RESTEER = MispredictKind.NONE
 
 
 class FTQEntry:
@@ -23,27 +26,24 @@ class FTQEntry:
     A plain ``__slots__`` class with a hand-written ``__init__`` rather
     than a dataclass: the machine allocates one per enqueued block
     (including every wrong-path block), which makes construction one of
-    the hottest allocation sites in the simulator.
+    the hottest allocation sites in the simulator. The constructor takes
+    only what the IAG knows when it forms the entry; every other field
+    starts at a fixed value, and the three line lists share one empty
+    ``()`` until their first write (most entries hit in the L1-I and
+    never write them).
     """
 
     __slots__ = (
         "block", "lines", "enqueue_cycle", "is_wrong_path", "taken",
         "target_addr", "mispredict", "predicted_target", "resteer_kind",
-        "resteer_trigger_line", "entries_since_resteer", "line_ready",
+        "resteer_trigger_line", "entries_since_resteer",
         "deferred_lines", "missed_lines", "pending_lines",
         "starvation_cycles", "backend_starved", "ready_at",
     )
 
     def __init__(self, block: BasicBlock, lines: List[int],
                  enqueue_cycle: int, is_wrong_path: bool = False,
-                 taken: bool = False, target_addr: int = 0,
-                 mispredict: MispredictKind = MispredictKind.NONE,
-                 predicted_target: Optional[int] = None,
-                 resteer_kind: Optional[MispredictKind] = None,
-                 resteer_trigger_line: Optional[int] = None,
-                 entries_since_resteer: int = 1 << 30,
-                 starvation_cycles: int = 0,
-                 backend_starved: bool = False):
+                 taken: bool = False, target_addr: int = 0):
         self.block = block
         self.lines = lines
         self.enqueue_cycle = enqueue_cycle
@@ -52,35 +52,34 @@ class FTQEntry:
         self.taken = taken
         self.target_addr = target_addr
         #: resteer verdict the BPU issued for this block
-        self.mispredict = mispredict
+        self.mispredict = _NO_RESTEER
         #: wrong-path start address when mispredicted
-        self.predicted_target = predicted_target
+        self.predicted_target: Optional[int] = None
         #: the resteer this entry was enqueued behind: kind, trigger
         #: block line, and how many entries were enqueued since it (the
         #: "wake" distance). Recorded at enqueue — by retirement several
         #: newer resteers may have happened.
-        self.resteer_kind = resteer_kind
-        self.resteer_trigger_line = resteer_trigger_line
-        self.entries_since_resteer = entries_since_resteer
-        #: per-line fill readiness recorded at FDIP-prefetch (enqueue) time
-        self.line_ready: Dict[int, int] = {}
+        self.resteer_kind: Optional[MispredictKind] = None
+        self.resteer_trigger_line: Optional[int] = None
+        self.entries_since_resteer = 1 << 30
         #: lines whose FDIP fill could not start (MSHRs exhausted); the
         #: IFU issues them as demand accesses when the entry reaches the
-        #: head
-        self.deferred_lines: List[int] = []
+        #: head. A list (the tail of ``lines``) once written.
+        self.deferred_lines: Sequence[int] = ()
         #: lines that newly missed the L1-I when this entry was enqueued
-        self.missed_lines: List[int] = []
+        #: (a list once written)
+        self.missed_lines: Sequence[int] = ()
         #: lines whose fill was still pending when the FDIP stream
-        #: touched them
-        self.pending_lines: List[int] = []
+        #: touched them (a list once written)
+        self.pending_lines: Sequence[int] = ()
         #: decode-starvation cycles charged to this entry while at the head
-        self.starvation_cycles = starvation_cycles
+        self.starvation_cycles = 0
         #: True if the back end drained (issue queue empty) during that wait
-        self.backend_starved = backend_starved
-        #: running max of ``line_ready`` maintained by the machine's
-        #: FDIP/deferred-fill paths so decode and the event-horizon scan
-        #: read one int instead of recomputing ``max(line_ready.values())``
-        #: every cycle. Only meaningful for machine-built entries.
+        self.backend_starved = False
+        #: running max of the fill-ready cycles of the entry's initiated
+        #: line fills (and of ``enqueue_cycle``), kept by the machine's
+        #: FDIP probe and deferred-fill paths so decode and the
+        #: event-horizon scan read one int
         self.ready_at = enqueue_cycle
 
     @property
@@ -88,11 +87,11 @@ class FTQEntry:
         """Cycle at which every *initiated* line fill completes.
 
         Meaningless while ``deferred_lines`` is non-empty — the IFU must
-        issue those before the entry can be considered ready.
+        issue those before the entry can be considered ready. Every
+        fill completes at or after the enqueue cycle, so the running
+        max ``ready_at`` is exactly the latest fill.
         """
-        if not self.line_ready:
-            return self.enqueue_cycle
-        return max(self.line_ready.values())
+        return self.ready_at
 
     @property
     def incurred_miss(self) -> bool:

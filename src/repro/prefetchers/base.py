@@ -18,6 +18,10 @@ class Prefetcher:
     * :meth:`on_retire` when a block's last instruction retires — where
       commit-time training happens;
     * :meth:`on_fec_events` with the retire-time FEC qualifications.
+
+    The machine binds each hook once, when it is built, and never calls
+    one that the prefetcher's class inherits from this base: override a
+    hook in a subclass, not on an instance.
     """
 
     name = "none"

@@ -105,10 +105,11 @@ class EIPPrefetcher(Prefetcher):
     # ------------------------------------------------------------------
     def on_retire(self, entry: FTQEntry, cycle: int) -> None:
         """A correct-path block fully retired."""
-        cfg = self.config
-        if entry.incurred_miss and entry.line_ready:
-            # miss latency observed at fetch, applied at commit (paper)
-            latency = max(0, entry.ready_cycle - entry.enqueue_cycle)
+        if entry.incurred_miss:
+            # miss latency observed at fetch, applied at commit (paper);
+            # a retiring entry has initiated every line fill, so
+            # ready_at is the latest of them
+            latency = max(0, entry.ready_at - entry.enqueue_cycle)
             src = self._find_source(entry.enqueue_cycle - latency)
             if src is not None:
                 for line in entry.missed_lines:

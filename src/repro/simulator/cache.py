@@ -374,7 +374,9 @@ class ResultStore:
         """Store an ingested trace blob; ``(digest, created)``.
 
         ``created`` is False when the digest was already indexed (the
-        blob write itself is always idempotent).
+        blob write itself is always idempotent). Putting an indexed
+        digest again rewrites every column of its row but ``created``
+        and ``last_access``, so a row with stale counts is repaired.
         """
         digest = self._write_blob(payload)
         now = _now()
@@ -389,6 +391,8 @@ class ResultStore:
                 " ON CONFLICT(digest) DO UPDATE SET"
                 " name = excluded.name,"
                 " source_sha = excluded.source_sha,"
+                " events = excluded.events,"
+                " instructions = excluded.instructions,"
                 " meta = excluded.meta",
                 (digest, name, source_sha,
                  int(len(payload.get("events", ()))),  # type: ignore[arg-type]

@@ -52,14 +52,24 @@ from repro.utils import (INSTRUCTION_SIZE, LINE_SHIFT, SLOTTED, derive_rng,
                          line_of)
 from repro.workloads.layout import BranchKind, CodeLayout
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.walker import (PathWalker, SpeculativePath,
-                                    static_majority_successor)
+from repro.workloads.walker import (SUCC_DEAD_END, SUCC_RETURN, PathWalker,
+                                    SpeculativePath)
 
 #: data lines live in a disjoint address space from instruction lines
 DATA_LINE_BASE = 1 << 40
 
-#: hot-path copy for the inlined ``block.is_branch`` test
+#: hot-path copies for the inlined ``block.is_branch`` and
+#: ``MispredictKind.is_resteer`` tests
 _FALLTHROUGH = BranchKind.FALLTHROUGH
+_NO_RESTEER = MispredictKind.NONE
+
+
+def _hook(prefetcher: Prefetcher, name: str):
+    """The prefetcher's bound hook ``name``, or None when its class
+    inherits the base no-op (the machine then skips the call)."""
+    if getattr(type(prefetcher), name) is getattr(Prefetcher, name):
+        return None
+    return getattr(prefetcher, name)
 
 
 @dataclass(**SLOTTED)
@@ -98,12 +108,13 @@ class Machine:
             self.hierarchy, capacity=cfg.pq_capacity,
             issue_width=cfg.pq_issue_width, mshr_reserve=cfg.pq_mshr_reserve)
         self.prefetcher = prefetcher if prefetcher is not None else NoPrefetcher()
-        # skip the per-taken-branch observe_branch call entirely for
-        # prefetchers that inherit the base no-op (everything but PDIP)
-        self._observe_branch = (
-            self.prefetcher.observe_branch
-            if type(self.prefetcher).observe_branch
-            is not Prefetcher.observe_branch else None)
+        # hooks bound once, None where the class inherits the base no-op
+        # (the baseline has none; PDIP has no on_retire, EIP and RDIP no
+        # on_fec_events, and only PDIP observes branches)
+        self._observe_branch = _hook(self.prefetcher, "observe_branch")
+        self._pf_enqueue = _hook(self.prefetcher, "on_ftq_enqueue")
+        self._pf_retire = _hook(self.prefetcher, "on_retire")
+        self._pf_fec_events = _hook(self.prefetcher, "on_fec_events")
         self.bpu = bpu if bpu is not None else BranchPredictionUnit(
             btb_entries=cfg.btb_entries, btb_assoc=cfg.btb_assoc,
             ras_depth=cfg.ras_depth, seed=seed)
@@ -111,6 +122,8 @@ class Machine:
         # repro.workloads.trace.TraceReplayer replaying a recorded stream
         self.walker = walker if walker is not None else PathWalker(
             layout, seed=seed, indirect_noise=profile.indirect_noise)
+        #: wrong-path successor codes (built by the layout's first machine)
+        self._successors = layout.static_successors()
         self.ftq = FTQ(depth=cfg.ftq_depth)
         self.backend = BackendModel(
             rob_entries=cfg.rob_entries, retire_width=cfg.retire_width,
@@ -292,7 +305,7 @@ class Machine:
             head = q[0]
             if head.deferred_lines:
                 return 0  # IFU retries deferred fills every cycle
-            ready = head.ready_at  # running max over line_ready
+            ready = head.ready_at  # running max over the line fills
             if ready <= cycle:
                 return 0  # decode consumes the head this cycle
             if horizon is None or ready < horizon:
@@ -402,47 +415,151 @@ class Machine:
     # stage 2: IAG / FTQ fill (with FDIP prefetch)
     # ==================================================================
     def _iag_fill(self, cycle: int) -> None:
+        """Fill the FTQ with up to ``iag_blocks_per_cycle`` entries.
+
+        Each entry takes the whole per-entry front-end path in this one
+        loop, with every attribute bound once per call:
+
+        * **next entry** — the next correct-path block from the walker,
+          judged by the BPU (a resteer verdict forks the wrong path), or
+          the next wrong-path block from the static-successor table;
+        * **FDIP probe** of the entry's lines. Lines that cannot
+          allocate an MSHR are *deferred*: the entry still enqueues (a
+          real FTQ does not stall on cache back-pressure) and the IFU
+          issues the remaining fills as demand accesses when the entry
+          reaches the head (:meth:`_issue_deferred`);
+        * **enqueue** — resteer-wake bookkeeping, the FTQ push, and the
+          prefetcher's branch-observation and trigger-lookup hooks.
+        """
         if cycle < self._iag_stall_until:
             return
         ftq = self.ftq
         q = ftq._q
-        depth = ftq.depth
-        next_entry = self._next_entry
-        fdip_access = self._fdip_access
-        finish_enqueue = self._finish_enqueue
-        for _ in range(self._iag_blocks):
-            if len(q) >= depth:
-                return
-            entry = next_entry(cycle)
-            if entry is None:
-                return
-            fdip_access(entry, cycle)
-            finish_enqueue(entry, cycle)
-
-    def _next_entry(self, cycle: int) -> Optional[FTQEntry]:
+        n = ftq.depth - len(q)
+        if n > self._iag_blocks:
+            n = self._iag_blocks
+        if n <= 0:
+            return
+        blocks = self.layout.blocks
+        successors = self._successors
+        next_event = self.walker.next_event
+        predict_block = self.bpu.predict_block
+        hierarchy = self.hierarchy
+        fetch = hierarchy.fetch_instruction
+        # ready L1-I hits (the overwhelmingly common case) are an inlined
+        # hierarchy.fetch_ready_hit with *batched* counter updates: access
+        # counts and the LRU clock accumulate in locals, flushed before
+        # any full fetch_instruction call, so the interleaving leaves
+        # every counter exactly as the per-line calls would have. The
+        # iTLB charges a walk on every access, so it takes the full call.
+        batched = hierarchy.itlb is None
+        l1i = hierarchy.l1i
+        state_get = l1i._lines.get
+        hit_ready = cycle + hierarchy._l1_hit
+        append = q.append
+        observe = self._observe_branch
+        on_enqueue = self._pf_enqueue
+        since = self._entries_since_resteer
+        resteer_kind = self._last_resteer_kind
+        resteer_trigger = self._last_resteer_trigger
         wp = self._wrong_path
-        if wp is not None:
-            # inlined SpeculativePath.step (one call per wrong-path block)
-            cur = wp.current
-            if cur is None or wp.remaining <= 0:
-                return None  # wrong path dead-ended; wait for the resteer
-            block = self.layout.blocks[cur]
-            wp.remaining -= 1
-            wp.current = static_majority_successor(self.layout, block,
-                                                   wp.stack)
-            self.stats.wrong_path_blocks += 1
-            return FTQEntry(block, block.lines(), cycle, True)
-        event = self.walker.next_event()
-        block = event.block
-        entry = FTQEntry(block, block.lines(), cycle, False,
-                         event.taken, event.target_addr)
-        prediction = self.bpu.predict_block(block, event.taken,
-                                            event.target_addr)
-        entry.mispredict = prediction.mispredict
-        entry.predicted_target = prediction.predicted_target
-        if prediction.mispredict.is_resteer:
-            self._start_wrong_path(entry, prediction)
-        return entry
+        wrong = 0
+        enqueued = 0
+        for _ in range(n):
+            # -- next entry ------------------------------------------------
+            if wp is not None:
+                cur = wp.current
+                if cur is None or wp.remaining <= 0:
+                    break  # wrong path dead-ended; wait for the resteer
+                block = blocks[cur]
+                wp.remaining -= 1
+                nxt = successors[cur]
+                if nxt < 0:  # inlined SpeculativePath.step's stack codes
+                    if nxt == SUCC_RETURN:
+                        nxt = wp.stack.pop() if wp.stack else None
+                    elif nxt == SUCC_DEAD_END:
+                        nxt = None
+                    else:
+                        wp.stack.append(block.fallthrough)
+                        nxt = SUCC_RETURN - 1 - nxt
+                wp.current = nxt
+                wrong += 1
+                # every wrong-path branch feeds the path history
+                observable = True
+                lines = block._lines
+                if lines is None:
+                    lines = block.lines()
+                entry = FTQEntry(block, lines, cycle, True, False, 0)
+            else:
+                event = next_event()
+                block = event.block
+                taken = observable = event.taken
+                lines = block._lines
+                if lines is None:
+                    lines = block.lines()
+                entry = FTQEntry(block, lines, cycle, False, taken,
+                                 event.target_addr)
+                prediction = predict_block(block, taken, event.target_addr)
+                mispredict = prediction.mispredict
+                if mispredict is not _NO_RESTEER:
+                    entry.mispredict = mispredict
+                    entry.predicted_target = prediction.predicted_target
+                    self._start_wrong_path(entry, prediction)
+                    wp = self._wrong_path
+            # -- FDIP probe ------------------------------------------------
+            ready_at = cycle
+            clock = l1i._clock
+            hits = 0
+            for line in lines:
+                if batched:
+                    state = state_get(line)
+                    if (state is not None and state.ready_cycle <= cycle
+                            and not state.unused_prefetch):
+                        clock += 1
+                        state.lru = clock
+                        hits += 1
+                        if hit_ready > ready_at:
+                            ready_at = hit_ready
+                        continue
+                    if hits:
+                        l1i._clock = clock
+                        l1i.accesses += hits
+                        hierarchy.l1i_demand_accesses += hits
+                        hits = 0
+                result = fetch(line, cycle)
+                clock = l1i._clock
+                if result.stalled_mshr:
+                    entry.deferred_lines = lines[lines.index(line):]
+                    break
+                ready = result.ready_cycle
+                if ready > ready_at:
+                    ready_at = ready
+                if result.l1_miss:
+                    entry.missed_lines = [*entry.missed_lines, line]
+                elif result.pending_hit:
+                    entry.pending_lines = [*entry.pending_lines, line]
+            if hits:
+                l1i._clock = clock
+                l1i.accesses += hits
+                hierarchy.l1i_demand_accesses += hits
+            entry.ready_at = ready_at
+            # -- enqueue (an inlined FTQ.push: capacity is bounded above) --
+            since += 1
+            entry.entries_since_resteer = since
+            entry.resteer_kind = resteer_kind
+            entry.resteer_trigger_line = resteer_trigger
+            append(entry)
+            enqueued += 1
+            # inlined block.is_branch / line_of(block.branch_pc)
+            if (observe is not None and observable
+                    and block.kind is not _FALLTHROUGH):
+                observe((block.addr + (block.num_instructions - 1)
+                         * INSTRUCTION_SIZE) >> LINE_SHIFT)
+            if on_enqueue is not None:
+                on_enqueue(entry, cycle)
+        self._entries_since_resteer = since
+        ftq.enqueues += enqueued
+        self.stats.wrong_path_blocks += wrong
 
     def _start_wrong_path(self, entry: FTQEntry,
                           prediction: BlockPrediction) -> None:
@@ -458,100 +575,6 @@ class Machine:
             self.layout, start_bid, self.walker.snapshot_stack(),
             max_blocks=self.config.wrongpath_max_blocks)
 
-    def _fdip_access(self, entry: FTQEntry, cycle: int) -> None:
-        """FDIP-prefetch the entry's lines.
-
-        Lines that cannot allocate an MSHR are *deferred*: the entry still
-        enqueues (a real FTQ does not stall on cache back-pressure) and
-        the IFU issues the remaining fills as demand accesses when the
-        entry reaches the head.
-        """
-        lines = entry.lines
-        hierarchy = self.hierarchy
-        fetch = hierarchy.fetch_instruction
-        line_ready = entry.line_ready
-        ready_at = entry.ready_at
-        if hierarchy.itlb is None:
-            # Inlined hierarchy.fetch_ready_hit with *batched* counter
-            # updates: ready L1 hits (the overwhelmingly common case)
-            # accumulate access counts and the LRU clock in locals,
-            # flushed before any full fetch_instruction call so the
-            # interleaving leaves every counter exactly as the
-            # per-line calls would have.
-            l1i = hierarchy.l1i
-            state_get = l1i._lines.get
-            hit_ready = cycle + hierarchy._l1_hit
-            clock = l1i._clock
-            hits = 0
-            for i, line in enumerate(lines):
-                state = state_get(line)
-                if (state is not None and state.ready_cycle <= cycle
-                        and not state.unused_prefetch):
-                    clock += 1
-                    state.lru = clock
-                    hits += 1
-                    line_ready[line] = hit_ready
-                    if hit_ready > ready_at:
-                        ready_at = hit_ready
-                    continue
-                l1i._clock = clock
-                l1i.accesses += hits
-                hierarchy.l1i_demand_accesses += hits
-                hits = 0
-                result = fetch(line, cycle)
-                clock = l1i._clock
-                if result.stalled_mshr:
-                    entry.deferred_lines.extend(lines[i:])
-                    entry.ready_at = ready_at
-                    return
-                ready = result.ready_cycle
-                line_ready[line] = ready
-                if ready > ready_at:
-                    ready_at = ready
-                if result.l1_miss:
-                    entry.missed_lines.append(line)
-                elif result.pending_hit:
-                    entry.pending_lines.append(line)
-            l1i._clock = clock
-            l1i.accesses += hits
-            hierarchy.l1i_demand_accesses += hits
-            entry.ready_at = ready_at
-            return
-        for i, line in enumerate(lines):
-            result = fetch(line, cycle)
-            if result.stalled_mshr:
-                entry.deferred_lines.extend(lines[i:])
-                entry.ready_at = ready_at
-                return
-            ready = result.ready_cycle
-            line_ready[line] = ready
-            if ready > ready_at:
-                ready_at = ready
-            if result.l1_miss:
-                entry.missed_lines.append(line)
-            elif result.pending_hit:
-                entry.pending_lines.append(line)
-        entry.ready_at = ready_at
-
-    def _finish_enqueue(self, entry: FTQEntry, cycle: int) -> None:
-        since = self._entries_since_resteer + 1
-        self._entries_since_resteer = since
-        entry.entries_since_resteer = since
-        entry.resteer_kind = self._last_resteer_kind
-        entry.resteer_trigger_line = self._last_resteer_trigger
-        # inlined FTQ.push — _iag_fill already checked capacity
-        ftq = self.ftq
-        ftq._q.append(entry)
-        ftq.enqueues += 1
-        block = entry.block
-        observe = self._observe_branch
-        # inlined block.is_branch / line_of(block.branch_pc)
-        if (observe is not None and block.kind is not _FALLTHROUGH
-                and (entry.taken or entry.is_wrong_path)):
-            observe((block.addr + (block.num_instructions - 1)
-                     * INSTRUCTION_SIZE) >> LINE_SHIFT)
-        self.prefetcher.on_ftq_enqueue(entry, cycle)
-
     # ==================================================================
     # stage 4: decode
     # ==================================================================
@@ -566,6 +589,8 @@ class Machine:
         backend = self.backend
         progress = self._decode_progress
         admitted = self._head_admitted
+        # only an unscheduled pending resteer can be scheduled here
+        pr = self._pending_resteer
 
         while budget > 0:
             if not q:
@@ -587,7 +612,8 @@ class Machine:
                     blocked_backend = True
                     break
                 admitted = True
-                self._maybe_schedule_resteer(head, cycle)
+                if pr is not None and pr.scheduled is None:
+                    self._maybe_schedule_resteer(pr, head, cycle)
             take = remaining if remaining < budget else budget
             progress += take
             budget -= take
@@ -633,19 +659,18 @@ class Machine:
                 return
             deferred.pop(0)
             ready = result.ready_cycle
-            head.line_ready[line] = ready
             if ready > head.ready_at:
                 head.ready_at = ready
             if result.l1_miss:
-                head.missed_lines.append(line)
+                head.missed_lines = [*head.missed_lines, line]
             elif result.pending_hit:
-                head.pending_lines.append(line)
+                head.pending_lines = [*head.pending_lines, line]
 
-    def _maybe_schedule_resteer(self, entry: FTQEntry, cycle: int) -> None:
-        pr = self._pending_resteer
-        if (pr is None or pr.scheduled is not None
-                or entry.mispredict is not pr.kind
-                or not entry.mispredict.is_resteer or entry.is_wrong_path):
+    def _maybe_schedule_resteer(self, pr: _Resteer, entry: FTQEntry,
+                                cycle: int) -> None:
+        """Schedule the unscheduled pending resteer ``pr`` if ``entry`` is
+        the correct-path block whose verdict raised it."""
+        if entry.mispredict is not pr.kind or entry.is_wrong_path:
             return
         if entry.mispredict.resolves_at_predecode:
             pr.scheduled = cycle + self._predecode_lat
@@ -677,8 +702,12 @@ class Machine:
                              starvation=event.starvation_cycles,
                              high_cost=event.is_high_cost(threshold))
             self.stats.fec_events += len(events)
-        self.prefetcher.on_fec_events(events, cycle)
-        self.prefetcher.on_retire(entry, cycle)
+        on_fec_events = self._pf_fec_events
+        if on_fec_events is not None:
+            on_fec_events(events, cycle)
+        on_retire = self._pf_retire
+        if on_retire is not None:
+            on_retire(entry, cycle)
         if entry.taken and entry.block.is_branch:
             self._last_taken_line = line_of(entry.block.branch_pc)
         self._data_stream(entry, cycle)

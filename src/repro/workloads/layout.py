@@ -175,6 +175,20 @@ class CodeLayout:
             self._entry_index = cached
         return cached
 
+    def static_successors(self) -> List[int]:
+        """Wrong-path successor code per block id (built once, then cached).
+
+        :func:`repro.workloads.walker.static_successor_table` defines the
+        codes; the front end's wrong-path walk reads this table instead
+        of evaluating the static-majority rule once per block.
+        """
+        cached = getattr(self, "_static_successors", None)
+        if cached is None:
+            from repro.workloads.walker import static_successor_table
+            cached = static_successor_table(self)
+            self._static_successors = cached
+        return cached
+
     def block_at(self, addr: int) -> Optional[BasicBlock]:
         """Find the block whose address range contains ``addr`` (linear scan;
         only used by tests and diagnostics)."""

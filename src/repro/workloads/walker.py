@@ -177,27 +177,75 @@ def _heaviest(block: BasicBlock) -> int:
     return block.indirect_targets[best_idx]
 
 
+#: :func:`static_successor_table` codes for blocks whose static
+#: successor is not a plain block id. A code below ``SUCC_RETURN`` is a
+#: call: push the block's ``fallthrough`` (its return point), then
+#: continue at block id ``SUCC_RETURN - 1 - code``.
+SUCC_DEAD_END = -1  # the path stops at this block
+SUCC_RETURN = -2    # pop the speculative stack; stop when it is empty
+
+
+def static_successor_table(layout: CodeLayout) -> List[int]:
+    """Every block's :func:`static_majority_successor`, as one flat list.
+
+    ``table[bid]`` is the successor block id, or a negative code (see
+    :data:`SUCC_DEAD_END`). The rule is evaluated once per block against
+    a one-entry probe stack, so it keeps its single definition: a block
+    that pops the probe is a return, one that pushes onto it is a call.
+    A call with no target dead-ends, and what it would have pushed is
+    never read. Use :meth:`CodeLayout.static_successors`, which builds
+    the table once per layout.
+    """
+    table: List[int] = []
+    append = table.append
+    for block in layout.blocks:
+        probe = [block.bid]
+        nxt = static_majority_successor(layout, block, probe)
+        if not probe:
+            append(SUCC_RETURN)
+        elif nxt is None:
+            append(SUCC_DEAD_END)
+        elif len(probe) > 1:
+            append(SUCC_RETURN - 1 - nxt)
+        else:
+            append(nxt)
+    return table
+
+
 class SpeculativePath:
     """Wrong-path fetch stream from a resteer target.
 
     ``start_bid`` is the block the (mis)predicted path enters;
     ``stack_snapshot`` is the correct-path call stack at the divergence
     point. ``step()`` yields consecutive wrong-path blocks until the path
-    dead-ends or ``max_blocks`` is reached.
+    dead-ends or ``max_blocks`` is reached, reading each successor from
+    the layout's static-successor table (``Machine._iag_fill`` inlines
+    the same walk).
     """
 
     def __init__(self, layout: CodeLayout, start_bid: Optional[int],
                  stack_snapshot: List[int], max_blocks: int = 256):
         self.layout = layout
+        self.successors = layout.static_successors()
         self.current = start_bid
         self.stack = list(stack_snapshot)
         self.remaining = max_blocks
 
     def step(self) -> Optional[BasicBlock]:
         """Return the next wrong-path block, or None when exhausted."""
-        if self.current is None or self.remaining <= 0:
+        cur = self.current
+        if cur is None or self.remaining <= 0:
             return None
-        block = self.layout.blocks[self.current]
+        block = self.layout.blocks[cur]
         self.remaining -= 1
-        self.current = static_majority_successor(self.layout, block, self.stack)
+        nxt: Optional[int] = self.successors[cur]
+        if nxt < 0:
+            if nxt == SUCC_RETURN:
+                nxt = self.stack.pop() if self.stack else None
+            elif nxt == SUCC_DEAD_END:
+                nxt = None
+            else:
+                self.stack.append(block.fallthrough)
+                nxt = SUCC_RETURN - 1 - nxt
+        self.current = nxt
         return block

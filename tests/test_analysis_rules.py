@@ -485,7 +485,7 @@ class TestStatsParity:
         assert findings == []
 
     def test_wrong_path_blocks_is_not_event_gated(self, tmp_path):
-        # Machine counts wrong-path blocks in _next_entry, off the
+        # Machine counts wrong-path blocks in _iag_fill, off the
         # per-cycle list; moving that count onto the per-cycle path
         # without batching it must be caught
         findings = lint(tmp_path, {

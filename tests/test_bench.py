@@ -1,8 +1,9 @@
 """Unit tests for the ``repro bench`` harness (src/repro/bench.py).
 
 These exercise the harness plumbing — cell records, report assembly,
-baseline joining, and the regression gate — without long simulations:
-the one real ``run_cell`` call uses a tiny instruction budget.
+baseline joining, and the regression gate (modelled work and
+normalized score) — without long simulations: the real ``run_cell``
+and ``run_bench`` calls use a tiny instruction budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.bench import (
     QUICK_CELLS,
     check_regression,
     load_baseline,
+    run_bench,
     run_cell,
     write_report,
 )
@@ -94,6 +96,53 @@ class TestRegressionGate:
 
     def test_default_tolerance_is_twenty_percent(self):
         assert DEFAULT_TOLERANCE == 0.20
+
+
+def _report_with_work(cycles, ipc, base_cycles=48_000, base_ipc=1.25):
+    report = BenchReport(calib=1.0)
+    report.cells.append({
+        "name": "cell-0", "cycles_per_sec": 100.0, "norm_score": 1.0,
+        "simulated_cycles": cycles, "ipc": ipc,
+        "fast_forwarded_cycles": 0,
+        "baseline_simulated_cycles": base_cycles, "baseline_ipc": base_ipc,
+        "speedup_vs_baseline": 1.0, "norm_ratio_vs_baseline": 1.0})
+    return report
+
+
+class TestModelledWorkGate:
+    def test_same_work_passes(self):
+        assert check_regression(_report_with_work(48_000, 1.25)) == []
+
+    def test_different_cycles_fail_at_full_speed(self):
+        failures = check_regression(_report_with_work(47_999, 1.25))
+        assert len(failures) == 1
+        assert "cell-0" in failures[0] and "simulated_cycles" in failures[0]
+
+    def test_different_ipc_fails(self):
+        failures = check_regression(_report_with_work(48_000, 1.2500001))
+        assert len(failures) == 1 and "ipc" in failures[0]
+
+    def test_fast_forwarded_cycles_never_gate(self):
+        report = _report_with_work(48_000, 1.25)
+        report.cells[0]["fast_forwarded_cycles"] = 12_345
+        assert check_regression(report) == []
+
+    def test_run_bench_joins_the_baseline_work(self, tmp_path):
+        cell = BenchCell(name="tiny", benchmark="tatp", policy="baseline",
+                         instructions=2_000, warmup=400)
+        rec = run_cell(cell, repeats=1)
+        rec["norm_score"] = 1e-9  # any real run is faster than this
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"calib_score": 1.0, "cells": [rec]}))
+        same = run_bench([cell], repeats=1, baseline_path=baseline,
+                         verbose=False)
+        assert check_regression(same) == []
+        rec["simulated_cycles"] += 1
+        baseline.write_text(json.dumps({"calib_score": 1.0, "cells": [rec]}))
+        other = run_bench([cell], repeats=1, baseline_path=baseline,
+                          verbose=False)
+        failures = check_regression(other)
+        assert len(failures) == 1 and "simulated_cycles" in failures[0]
 
 
 class TestReportDocument:

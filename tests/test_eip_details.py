@@ -59,7 +59,7 @@ class TestEntanglementSemantics:
             block = BasicBlock(bid=0, addr=dst * 64, num_instructions=4)
             entry = FTQEntry(block=block, lines=[dst], enqueue_cycle=120)
             entry.missed_lines = [dst]
-            entry.line_ready = {dst: 120 + latency}
+            entry.ready_at = 120 + latency
             eip.on_retire(entry, 130)
 
         entangle_for_latency(30, 500)   # want_cycle 90 -> source 14

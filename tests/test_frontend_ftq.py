@@ -63,16 +63,18 @@ class TestFTQEntry:
 
     def test_ready_cycle_is_max_of_lines(self):
         e = entry(cycle=0)
-        e.line_ready = {10: 5, 11: 42, 12: 17}
+        for ready in (5, 42, 17):  # line fills, kept as a running max
+            if ready > e.ready_at:
+                e.ready_at = ready
         assert e.ready_cycle == 42
 
     def test_incurred_miss(self):
         e = entry()
         assert not e.incurred_miss
-        e.missed_lines.append(10)
+        e.missed_lines = [10]
         assert e.incurred_miss
 
     def test_pending_counts_as_miss(self):
         e = entry()
-        e.pending_lines.append(10)
+        e.pending_lines = [10]
         assert e.incurred_miss

@@ -19,7 +19,8 @@ def entry(lines, enqueue=0, ready=None, missed=None):
     block = BasicBlock(bid=0, addr=lines[0] * 64, num_instructions=4)
     e = FTQEntry(block=block, lines=list(lines), enqueue_cycle=enqueue)
     if ready is not None:
-        e.line_ready = {ln: ready for ln in lines}
+        # every line's fill ready at ``ready``: the fill's running max
+        e.ready_at = ready
     if missed:
         e.missed_lines = list(missed)
     return e

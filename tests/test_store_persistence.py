@@ -6,6 +6,8 @@
 * Trace benchmark names registered by ``repro ingest --register`` are
   rows of the store that holds their blobs: concurrent registrations
   keep every name, and ``--store`` selects which names a command knows.
+* Putting a trace blob again rewrites its row's counts, so a row
+  written with a wrong instruction count does not outlive the next put.
 
 The trace-name checks run ``repro`` in fresh processes, as a user would;
 the warm figure runs in this one, so that a simulation can be caught.
@@ -195,3 +197,22 @@ class TestTraceNames:
         assert "trace-phase" in listed.stdout
         assert "\n  n " not in listed.stdout
         assert not b.exists()  # knowing no names created no store
+
+
+class TestTraceRows:
+    def test_reput_repairs_a_stale_instruction_count(self, tmp_path):
+        payload = {"events": [[0, 1, 4], [1, 0, 0], [4, 1, 1]]}
+        sha = "a" * 40
+        with ResultStore(tmp_path / "store") as store:
+            digest, created = store.put_trace(
+                payload, name="t", source_sha=sha, meta={"instructions": 0})
+            assert created
+            assert store.find_trace(sha)["instructions"] == 0
+            again, created = store.put_trace(
+                payload, name="t", source_sha=sha,
+                meta={"instructions": 119369})
+            assert (again, created) == (digest, False)
+            row = store.find_trace(sha)
+        assert row["instructions"] == 119369
+        assert row["events"] == 3
+        assert row["meta"] == {"instructions": 119369}

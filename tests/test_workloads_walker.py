@@ -6,6 +6,8 @@ from repro.workloads.generator import generate_layout
 from repro.workloads.layout import BasicBlock, BranchKind, CodeLayout, Function
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.walker import (
+    SUCC_DEAD_END,
+    SUCC_RETURN,
     PathWalker,
     SpeculativePath,
     static_majority_successor,
@@ -174,3 +176,69 @@ class TestSpeculativePath:
         while path.step() is not None:
             count += 1
         assert count == 5
+
+
+class TestStaticSuccessorTable:
+    """The wrong path's table walk is the static-majority rule's walk."""
+
+    @staticmethod
+    def rule_walk(layout, start, stack, steps):
+        """``(bid, successor, stack)`` per step, by the rule itself."""
+        out = []
+        cur = start
+        for _ in range(steps):
+            if cur is None:
+                break
+            nxt = static_majority_successor(layout, layout.blocks[cur], stack)
+            out.append((cur, nxt, list(stack)))
+            cur = nxt
+        return out
+
+    @staticmethod
+    def table_walk(layout, start, stack, steps):
+        path = SpeculativePath(layout, start, stack, max_blocks=steps)
+        out = []
+        while True:
+            block = path.step()
+            if block is None:
+                break
+            out.append((block.bid, path.current, list(path.stack)))
+        return out
+
+    @pytest.mark.parametrize("bench", ["tatp", "cassandra", "trace-phase"])
+    def test_every_block_walks_like_the_rule(self, bench):
+        from repro.simulator.runner import get_layout
+
+        layout = get_layout(bench, seed=1)
+        table = layout.static_successors()
+        assert len(table) == len(layout.blocks)
+        assert layout.static_successors() is table  # built once
+        # return points a correct path could hold at the divergence,
+        # so RETURN blocks pop real entries before the stack runs dry
+        snapshot = [f.entry for f in layout.functions[:2]]
+        calls = returns = 0
+        for block in layout.blocks:
+            want = self.rule_walk(layout, block.bid, list(snapshot), 8)
+            got = self.table_walk(layout, block.bid, list(snapshot), 8)
+            assert got == want, block.bid
+            kind = block.kind
+            calls += kind in (BranchKind.CALL, BranchKind.INDIRECT_CALL)
+            returns += kind is BranchKind.RETURN
+        assert calls and returns  # the stack codes were exercised
+
+    def test_codes_for_hand_built_blocks(self):
+        blocks = [
+            BasicBlock(bid=0, addr=0x1000, num_instructions=1,
+                       kind=BranchKind.CALL, taken_target=2, fallthrough=1),
+            BasicBlock(bid=1, addr=0x1004, num_instructions=1,
+                       kind=BranchKind.FALLTHROUGH, fallthrough=None),
+            BasicBlock(bid=2, addr=0x2000, num_instructions=1,
+                       kind=BranchKind.RETURN),
+        ]
+        layout = CodeLayout(blocks=blocks, functions=[])
+        assert layout.static_successors() == [
+            SUCC_RETURN - 1 - 2, SUCC_DEAD_END, SUCC_RETURN]
+        path = SpeculativePath(layout, 0, [])
+        assert [path.step().bid for _ in range(3)] == [0, 2, 1]
+        assert path.stack == []
+        assert path.step() is None  # the return point falls off the end
