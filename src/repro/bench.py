@@ -7,12 +7,14 @@ the speedup against a recorded baseline (``benchmarks/bench_baseline.json``
 by default, recorded from the pre-event-horizon seed implementation).
 
 Cross-host comparability: raw cycles/sec depends on the machine running
-the bench, so every run also measures a small pure-Python *calibration
-kernel* and stores each cell's score normalized by it
-(``norm = cycles_per_sec / calib``). The CI regression gate compares
-normalized scores, which cancels most host-speed variation; same-host
-comparisons (e.g. the committed baseline vs. an optimization branch on
-one workstation) can use the raw numbers directly.
+the bench, so a small pure-Python *calibration kernel* runs right before
+each cell's timed repeats, and the cell's score is normalized by that
+cell's own calibration (``norm = cycles_per_sec / calib_score``). The
+CI regression gate compares normalized scores, which cancels most
+host-speed variation, including a host that speeds up or slows down
+while the grid runs; same-host comparisons (e.g. the committed baseline
+vs. an optimization branch on one workstation) can use the raw numbers
+directly.
 
 Usage::
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field
@@ -189,7 +192,10 @@ def run_cell(cell: BenchCell, repeats: int = 2) -> Dict[str, object]:
 
 @dataclass
 class BenchReport:
-    """Aggregated bench run: per-cell records plus baseline comparison."""
+    """Aggregated bench run: per-cell records plus baseline comparison.
+
+    ``calib`` is the median of the cells' own calibration scores.
+    """
 
     calib: float
     cells: List[Dict[str, object]] = field(default_factory=list)
@@ -228,16 +234,21 @@ def load_baseline(path) -> Optional[Dict[str, object]]:
 def run_bench(cells: List[BenchCell], repeats: int = 2,
               baseline_path=DEFAULT_BASELINE,
               verbose: bool = True) -> BenchReport:
-    """Run the grid and join each cell against the recorded baseline."""
-    calib = calibrate()
+    """Run the grid and join each cell against the recorded baseline.
+
+    The host is calibrated right before each cell, so a cell is
+    normalized by the host speed it actually ran at.
+    """
     baseline = load_baseline(baseline_path) if baseline_path else None
     base_cells = {c["name"]: c for c in baseline["cells"]} if baseline else {}
     base_calib = baseline.get("calib_score") if baseline else None
-    report = BenchReport(calib=calib,
+    report = BenchReport(calib=0.0,
                          baseline_path=str(baseline_path) if baseline else None,
                          baseline_calib=base_calib)
     for cell in cells:
+        calib = calibrate()
         rec = run_cell(cell, repeats=repeats)
+        rec["calib_score"] = calib
         rec["norm_score"] = rec["cycles_per_sec"] / calib
         base = base_cells.get(cell.name)
         if base:
@@ -256,6 +267,9 @@ def run_bench(cells: List[BenchCell], repeats: int = 2,
                 extra = "  %5.2fx vs baseline" % rec["speedup_vs_baseline"]
             print("%-24s %9.0f cyc/s%s" % (cell.name,
                                            rec["cycles_per_sec"], extra))
+    if report.cells:
+        report.calib = statistics.median(
+            rec["calib_score"] for rec in report.cells)
     return report
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.branch.tage import FoldedHistory
+from repro.branch.tage import GlobalHistory
 from repro.utils import derive_rng
 
 
@@ -38,38 +38,17 @@ class ITTAGEPredictor:
         self.target_bits = target_bits
         self._rng = derive_rng(seed, "ittage")
 
-        self.hist_lens: List[int] = []
-        for i in range(num_tables):
-            if num_tables == 1:
-                h = min_history
-            else:
-                ratio = (max_history / min_history) ** (1.0 / (num_tables - 1))
-                h = int(round(min_history * (ratio ** i)))
-            self.hist_lens.append(max(1, h))
-
         self._base: List[Optional[int]] = [None] * (1 << log_base_entries)
         self._tables: List[List[Optional[_ITEntry]]] = [
             [None] * (1 << log_entries) for _ in range(num_tables)
         ]
-        self._ghist = [0] * (max(self.hist_lens) + 1)
-        # folded histories as flat mutable rows [value, hist_len, out_pos,
-        # compressed_bits, mask] — same layout (and rationale) as
-        # TAGEPredictor: row[0] is the live folded value
-
-        def _fold_row(h: int, bits: int) -> List[int]:
-            return [0, h, h % bits, bits, (1 << bits) - 1]
-
-        self._idx_rows = [_fold_row(h, log_entries) for h in self.hist_lens]
-        self._tag1_rows = [_fold_row(h, tag_bits) for h in self.hist_lens]
-        self._tag2_rows = [_fold_row(h, tag_bits - 1) for h in self.hist_lens]
-        self._fold_rows = [
-            rows[t]
-            for t in range(num_tables)
-            for rows in (self._idx_rows, self._tag1_rows, self._tag2_rows)
-        ]
-        max_h = max(self.hist_lens)
-        self._ghist_cap = 4 * max_h
-        self._ghist_keep = max_h + 1
+        self.history = GlobalHistory(num_tables, min_history, max_history,
+                                     log_entries, tag_bits)
+        # bound once: predict() reads these per indirect
+        self._idx_rows = self.history.idx_rows
+        self._tag1_rows = self.history.tag1_rows
+        self._tag2_rows = self.history.tag2_rows
+        self._push = self.history.push
 
         self.predictions = 0
         self.mispredicts = 0
@@ -77,16 +56,6 @@ class ITTAGEPredictor:
         self._provider: Optional[int] = None
         self._provider_idx = 0
         self._base_idx = 0
-
-    def _index(self, pc: int, table: int) -> int:
-        mask = (1 << self.log_entries) - 1
-        return (pc ^ (pc >> self.log_entries)
-                ^ self._idx_rows[table][0]) & mask
-
-    def _tag(self, pc: int, table: int) -> int:
-        mask = (1 << self.tag_bits) - 1
-        return (pc ^ self._tag1_rows[table][0]
-                ^ (self._tag2_rows[table][0] << 1)) & mask
 
     # -- prediction -----------------------------------------------------------
     def predict(self, pc: int) -> Optional[int]:
@@ -99,7 +68,7 @@ class ITTAGEPredictor:
         self._base_idx = (pc >> 2) & ((1 << self.log_base_entries) - 1)
         prediction = self._base[self._base_idx]
         self._provider = None
-        # hoisted copies of _index/_tag (this loop runs per indirect)
+        # GlobalHistory.index/tag, hoisted (this loop runs per indirect)
         log_entries = self.log_entries
         idx_mask = (1 << log_entries) - 1
         tag_mask = (1 << self.tag_bits) - 1
@@ -143,40 +112,28 @@ class ITTAGEPredictor:
         self._base[self._base_idx] = target
 
         if not correct:
+            history = self.history
             start = (provider + 1) if provider is not None else 0
             for t in range(start, self.num_tables):
-                idx = self._index(pc, t)
+                idx = history.index(pc, t)
                 entry = self._tables[t][idx]
                 if entry is None or entry.useful == 0:
                     if entry is None:
                         entry = _ITEntry()
                         self._tables[t][idx] = entry
-                    entry.tag = self._tag(pc, t)
+                    entry.tag = history.tag(pc, t)
                     entry.target = target
                     entry.conf = 1
                     entry.useful = 0
                     break
 
-        self._shift_history(target)
-
-    def _shift_history(self, target: int) -> None:
         # Indirect history injects four hashed target bits per resolution.
         # Low and high target bits are mixed so that targets differing
         # only in high bits (different functions) or only in low bits
         # (blocks within a function) still produce distinct history.
-        ghist = self._ghist
-        fold_rows = self._fold_rows
-        for bit_pos in (2, 3, 4, 5):
-            bit = ((target >> bit_pos) ^ (target >> (bit_pos + 10))) & 1
-            ghist.append(bit)
-            gend = len(ghist) - 1
-            for row in fold_rows:
-                value, h, out_pos, bits, mask = row
-                value = ((value << 1) | bit) ^ (ghist[gend - h] << out_pos)
-                value ^= value >> bits
-                row[0] = value & mask
-        if len(ghist) > self._ghist_cap:
-            del ghist[: len(ghist) - self._ghist_keep]
+        mixed = target ^ (target >> 10)
+        self._push(((mixed >> 2) & 1, (mixed >> 3) & 1,
+                    (mixed >> 4) & 1, (mixed >> 5) & 1))
 
     # -- reporting ----------------------------------------------------------
     @property

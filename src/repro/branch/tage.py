@@ -7,46 +7,103 @@ longest match is the alternate. Allocation on mispredict follows the
 standard policy (allocate in one longer-history table with a usefulness
 counter of 0), with periodic usefulness aging.
 
-Histories are folded incrementally (:class:`FoldedHistory`) so each
-prediction costs O(num_tables), independent of history length.
+Histories are folded incrementally (:class:`GlobalHistory`, which ITTAGE
+shares) so each prediction costs O(num_tables), independent of history
+length.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.utils import derive_rng
 
+#: the history bit a resolved conditional pushes, as ``push`` takes it
+_NOT_TAKEN = (0,)
+_TAKEN = (1,)
 
-class FoldedHistory:
-    """Incrementally-folded global history register.
 
-    Maintains ``fold(h[0:length]) -> compressed_bits`` under single-bit
-    shifts in O(1): when a new outcome bit enters and the bit that falls
-    off the end of the window leaves, the folded register is rotated and
-    both bits are XORed in at the right positions.
+class GlobalHistory:
+    """Global history and its folded registers, for one TAGE-style table set.
+
+    Holds the geometric history ``lengths`` of ``num_tables`` tagged
+    tables, the bounded history ``ghist`` (most recent bit last) and, per
+    table, three folded registers: the index fold (``index_bits`` wide)
+    and two tag folds (``tag_bits`` and ``tag_bits - 1`` wide). A register
+    is a flat mutable row ``[value, h, out_pos, bits, mask]``; the
+    predictors bind ``idx_rows``/``tag1_rows``/``tag2_rows`` once and read
+    ``row[0]`` in their ``predict`` loops, since list indexing beats
+    per-fold attribute traffic there.
+
+    :meth:`push` keeps every register equal to the fold of the last ``h``
+    history bits (the bit of age ``a`` at position ``a % bits``) in O(1)
+    per bit: the classic CBP update shifts the new bit in, cancels the
+    bit leaving the window at its folded position, and wraps the bit that
+    overflowed past ``bits`` back to position 0.
     """
 
-    __slots__ = ("length", "bits", "value", "mask", "_out_pos")
+    __slots__ = ("lengths", "index_bits", "tag_bits", "ghist", "idx_rows",
+                 "tag1_rows", "tag2_rows", "_rows", "_cap", "_keep")
 
-    def __init__(self, length: int, compressed_bits: int):
-        self.length = length
-        self.bits = compressed_bits
-        self.value = 0
-        self.mask = (1 << compressed_bits) - 1
-        self._out_pos = length % compressed_bits
+    def __init__(self, num_tables: int, min_history: int, max_history: int,
+                 index_bits: int, tag_bits: int):
+        self.lengths: List[int] = []
+        for i in range(num_tables):
+            if num_tables == 1:
+                h = min_history
+            else:
+                ratio = (max_history / min_history) ** (1.0 / (num_tables - 1))
+                h = int(round(min_history * (ratio ** i)))
+            self.lengths.append(max(1, h))
+        self.index_bits = index_bits
+        self.tag_bits = tag_bits
+        max_h = max(self.lengths)
+        self.ghist = [0] * (max_h + 1)
 
-    def update(self, new_bit: int, old_bit: int) -> None:
-        # classic CBP folded-history update: shift in the new bit, cancel
-        # the outgoing bit at its folded position, then wrap the bit that
-        # overflowed past ``bits`` back into position 0 (the rotation that
-        # makes this a pure function of the last ``length`` bits)
-        """Advance the folded register by one history bit."""
-        value = (self.value << 1) | new_bit
-        value ^= old_bit << self._out_pos
-        value ^= value >> self.bits
-        self.value = value & self.mask
+        # a register is a function of (h, bits) and the history alone, so
+        # registers of equal (h, bits) share one row (with the default
+        # geometry each table's index and second tag fold coincide)
+        folds: Dict[Tuple[int, int], List[int]] = {}
+
+        def _fold_row(h: int, bits: int) -> List[int]:
+            return folds.setdefault((h, bits),
+                                    [0, h, h % bits, bits, (1 << bits) - 1])
+
+        self.idx_rows = [_fold_row(h, index_bits) for h in self.lengths]
+        self.tag1_rows = [_fold_row(h, tag_bits) for h in self.lengths]
+        self.tag2_rows = [_fold_row(h, tag_bits - 1) for h in self.lengths]
+        self._rows = list(folds.values())
+        # a fold reads at most max_h + 1 bits back, so the buffer is
+        # trimmed to that whenever it outgrows four windows
+        self._cap = 4 * max_h
+        self._keep = max_h + 1
+
+    def index(self, pc: int, table: int) -> int:
+        """Row index of ``pc`` in tagged table ``table``."""
+        index_bits = self.index_bits
+        return ((pc ^ (pc >> index_bits) ^ self.idx_rows[table][0])
+                & ((1 << index_bits) - 1))
+
+    def tag(self, pc: int, table: int) -> int:
+        """Partial tag of ``pc`` in tagged table ``table``."""
+        return ((pc ^ self.tag1_rows[table][0]
+                 ^ (self.tag2_rows[table][0] << 1))
+                & ((1 << self.tag_bits) - 1))
+
+    def push(self, bits: Iterable[int]) -> None:
+        """Append ``bits`` (oldest first) and advance every register."""
+        ghist = self.ghist
+        rows = self._rows
+        for bit in bits:
+            ghist.append(bit)
+            gend = len(ghist) - 1
+            for row in rows:
+                value, h, out_pos, width, mask = row
+                value = ((value << 1) | bit) ^ (ghist[gend - h] << out_pos)
+                value ^= value >> width
+                row[0] = value & mask
+        if len(ghist) > self._cap:
+            del ghist[: len(ghist) - self._keep]
 
 
 class _TaggedEntry:
@@ -71,42 +128,17 @@ class TAGEPredictor:
         self.log_base_entries = log_base_entries
         self._rng = derive_rng(seed, "tage")
 
-        # geometric history lengths
-        self.hist_lens: List[int] = []
-        for i in range(num_tables):
-            if num_tables == 1:
-                h = min_history
-            else:
-                ratio = (max_history / min_history) ** (1.0 / (num_tables - 1))
-                h = int(round(min_history * (ratio ** i)))
-            self.hist_lens.append(max(1, h))
-
         self._base = [0] * (1 << log_base_entries)  # 2-bit counters in [-2,1]
         self._tables: List[List[Optional[_TaggedEntry]]] = [
             [None] * (1 << log_entries) for _ in range(num_tables)
         ]
-        # global history as a list-backed shift register (most recent = end)
-        self._ghist = [0] * (max(self.hist_lens) + 1)
-        # folded histories as flat mutable rows [value, hist_len, out_pos,
-        # compressed_bits, mask] (the FoldedHistory recurrence unrolled
-        # onto lists): row[0] is the live folded value, read by
-        # predict()/_index()/_tag() and advanced by _shift_history —
-        # list indexing beats per-fold attribute traffic on this path
-
-        def _fold_row(h: int, bits: int) -> List[int]:
-            return [0, h, h % bits, bits, (1 << bits) - 1]
-
-        self._idx_rows = [_fold_row(h, log_entries) for h in self.hist_lens]
-        self._tag1_rows = [_fold_row(h, tag_bits) for h in self.hist_lens]
-        self._tag2_rows = [_fold_row(h, tag_bits - 1) for h in self.hist_lens]
-        self._fold_rows = [
-            rows[t]
-            for t in range(num_tables)
-            for rows in (self._idx_rows, self._tag1_rows, self._tag2_rows)
-        ]
-        max_h = max(self.hist_lens)
-        self._ghist_cap = 4 * max_h
-        self._ghist_keep = max_h + 1
+        self.history = GlobalHistory(num_tables, min_history, max_history,
+                                     log_entries, tag_bits)
+        # bound once: predict() reads these per conditional
+        self._idx_rows = self.history.idx_rows
+        self._tag1_rows = self.history.tag1_rows
+        self._tag2_rows = self.history.tag2_rows
+        self._push = self.history.push
 
         self._tick = 0  # usefulness aging clock
         self.predictions = 0
@@ -119,17 +151,6 @@ class TAGEPredictor:
         self._provider_pred = False
         self._base_idx = 0
 
-    # -- indexing -----------------------------------------------------------
-    def _index(self, pc: int, table: int) -> int:
-        mask = (1 << self.log_entries) - 1
-        h = self._idx_rows[table][0]
-        return (pc ^ (pc >> self.log_entries) ^ h) & mask
-
-    def _tag(self, pc: int, table: int) -> int:
-        mask = (1 << self.tag_bits) - 1
-        return (pc ^ self._tag1_rows[table][0]
-                ^ (self._tag2_rows[table][0] << 1)) & mask
-
     # -- prediction -----------------------------------------------------------
     def predict(self, pc: int) -> bool:
         """Predict the direction of the conditional branch at ``pc``."""
@@ -137,7 +158,7 @@ class TAGEPredictor:
         self._base_idx = (pc >> 2) & ((1 << self.log_base_entries) - 1)
         base_pred = self._base[self._base_idx] >= 0
 
-        # hoisted copies of _index/_tag (this loop runs per conditional)
+        # GlobalHistory.index/tag, hoisted (this loop runs per conditional)
         log_entries = self.log_entries
         idx_mask = (1 << log_entries) - 1
         tag_mask = (1 << self.tag_bits) - 1
@@ -176,7 +197,7 @@ class TAGEPredictor:
         if predicted != taken:
             self.mispredicts += 1
         provider = self._provider
-        # provider / base counter update (inlined _sat_update)
+        # provider ctr saturates in [-4, 3], base counter in [-2, 1]
         if provider is not None:
             entry = self._tables[provider][self._provider_idx]
             if entry is not None:
@@ -199,10 +220,11 @@ class TAGEPredictor:
 
         # allocation on mispredict in a longer-history table
         if predicted != taken:
+            history = self.history
             start = (provider + 1) if provider is not None else 0
             candidates = []
             for t in range(start, self.num_tables):
-                idx = self._index(pc, t)
+                idx = history.index(pc, t)
                 entry = self._tables[t][idx]
                 if entry is None or entry.useful == 0:
                     candidates.append(t)
@@ -211,17 +233,17 @@ class TAGEPredictor:
                 t = candidates[0]
                 if len(candidates) > 1 and self._rng.random() < 0.33:
                     t = candidates[1]
-                idx = self._index(pc, t)
+                idx = history.index(pc, t)
                 entry = self._tables[t][idx]
                 if entry is None:
                     entry = _TaggedEntry()
                     self._tables[t][idx] = entry
-                entry.tag = self._tag(pc, t)
+                entry.tag = history.tag(pc, t)
                 entry.ctr = 0 if taken else -1
                 entry.useful = 0
             else:
                 for t in range(start, self.num_tables):
-                    idx = self._index(pc, t)
+                    idx = history.index(pc, t)
                     entry = self._tables[t][idx]
                     if entry is not None:
                         entry.useful = max(entry.useful - 1, 0)
@@ -235,22 +257,7 @@ class TAGEPredictor:
                     if entry is not None:
                         entry.useful >>= 1
 
-        self._shift_history(taken)
-
-    def _shift_history(self, taken: bool) -> None:
-        bit = 1 if taken else 0
-        ghist = self._ghist
-        ghist.append(bit)
-        gend = len(ghist) - 1
-        # inlined FoldedHistory.update per row (hot: 3 folds x num_tables)
-        for row in self._fold_rows:
-            value, h, out_pos, bits, mask = row
-            value = ((value << 1) | bit) ^ (ghist[gend - h] << out_pos)
-            value ^= value >> bits
-            row[0] = value & mask
-        # bound the history buffer
-        if gend + 1 > self._ghist_cap:
-            del ghist[: gend + 1 - self._ghist_keep]
+        self._push(_TAKEN if taken else _NOT_TAKEN)
 
     # -- reporting ----------------------------------------------------------
     @property
@@ -270,9 +277,3 @@ class TAGEPredictor:
         """Mispredicts / predictions (0 when unused)."""
         return self.mispredicts / self.predictions if self.predictions else 0.0
 
-
-def _sat_update(ctr: int, taken: bool, lo: int, hi: int) -> int:
-    """Saturating signed counter update."""
-    if taken:
-        return min(ctr + 1, hi)
-    return max(ctr - 1, lo)

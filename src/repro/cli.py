@@ -542,14 +542,9 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.telemetry import TelemetrySession, export_recorder
-    from repro.telemetry.recorder import DEFAULT_CAPACITY
 
-    capacity = (args.capacity if args.capacity is not None
-                else int(os.environ.get("REPRO_TELEMETRY_CAPACITY",
-                                        str(DEFAULT_CAPACITY))))
-    sample = (args.sample_every if args.sample_every is not None
-              else int(os.environ.get("REPRO_TELEMETRY_SAMPLE", "1")))
-    session = TelemetrySession(capacity=capacity, sample_every=sample)
+    session = TelemetrySession.from_env(capacity=args.capacity,
+                                        sample_every=args.sample_every)
     # a traced run simulates anyway, and must leave the store alone
     stats = run_benchmark(args.benchmark, args.policy,
                           instructions=args.instructions,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.branch.bpu import MispredictKind
 from repro.frontend.ftq import FTQEntry

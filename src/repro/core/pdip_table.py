@@ -50,14 +50,6 @@ class PDIPTarget:
     #: "mispredict"-family or "last_taken" (Fig. 16)
     trigger_type: str = "mispredict"
 
-    def expand(self) -> List[int]:
-        """All lines this target prefetches (base + mask)."""
-        lines = [self.line]
-        for k in range(MASK_BITS):
-            if self.mask & (1 << k):
-                lines.append(self.line + k + 1)
-        return lines
-
 
 @dataclass(**SLOTTED)
 class PDIPEntry:
@@ -145,8 +137,9 @@ class PDIPTable:
                path: Optional[int] = None) -> List["tuple[int, str]"]:
         """(prefetch line, trigger type) pairs for ``trigger_line``.
 
-        Empty on a miss. The trigger type rides along for the Fig. 16
-        issued-prefetch distribution.
+        Empty on a miss. Each target yields its base line, then one line
+        per set bit of its ``mask_bits``-wide mask. The trigger type rides
+        along for the Fig. 16 issued-prefetch distribution.
         """
         self.lookups += 1
         num_sets = self.num_sets
@@ -164,13 +157,14 @@ class PDIPTable:
         self.hits += 1
         out: List["tuple[int, str]"] = []
         append = out.append
+        mask_bits = self.mask_bits
         for tgt in entry.targets:
             base = tgt.line
             ttype = tgt.trigger_type
             append((base, ttype))
             mask = tgt.mask
             if mask:
-                for k in range(MASK_BITS):
+                for k in range(mask_bits):
                     if mask & (1 << k):
                         append((base + k + 1, ttype))
         return out
@@ -195,19 +189,3 @@ class PDIPTable:
     def occupancy(self) -> int:
         """Number of live entries."""
         return sum(len(ways) for ways in self._sets.values())
-
-    @classmethod
-    def for_budget_kb(cls, budget_kb: float,
-                      num_sets: int = PDIP_TABLE_SETS) -> "PDIPTable":
-        """Build the largest power-of-two-associativity table within budget.
-
-        The paper sizes tables by associativity at fixed 512 sets:
-        11 KB -> 2-way, 22 KB -> 4-way, 44 KB -> 8-way, 87 KB -> 16-way.
-        """
-        assoc = 1
-        while True:
-            candidate = cls(assoc=assoc * 2, num_sets=num_sets)
-            if candidate.storage_kb > budget_kb:
-                break
-            assoc *= 2
-        return cls(assoc=assoc, num_sets=num_sets)

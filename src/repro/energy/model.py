@@ -9,7 +9,7 @@ lookup per FTQ entry plus one insertion per qualifying FEC event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.core.pdip_table import PDIPTable, TAG_BITS
 from repro.energy.sram import SRAMModel

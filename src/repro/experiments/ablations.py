@@ -153,7 +153,6 @@ def emissary_knobs(instructions: Optional[int] = None,
     the replacement policy), so this builds machines directly and runs
     uncached.
     """
-    from repro.memory.replacement import EmissaryPolicy
     from repro.simulator.policies import build_machine, get_policy
     from repro.workloads.profiles import get_profile
 

@@ -127,7 +127,8 @@ class FTQ:
         return not self._q
 
     def push(self, entry: FTQEntry) -> None:
-        """Push a return address."""
+        """Append ``entry`` at the tail (``_iag_fill`` inlines this for
+        the entries it has room for)."""
         if self.full:
             raise RuntimeError("push on full FTQ")
         self._q.append(entry)

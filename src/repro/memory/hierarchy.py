@@ -22,11 +22,11 @@ Special modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Set
 
-from repro.memory.cache import AccessResult, Cache, CacheLineState
-from repro.memory.replacement import EmissaryPolicy, LRUPolicy, ReplacementPolicy
+from repro.memory.cache import Cache
+from repro.memory.replacement import LRUPolicy, ReplacementPolicy
 from repro.memory.tlb import InstructionTLB
 from repro.telemetry.handle import NULL_RECORDER
 from repro.utils import SLOTTED
@@ -143,30 +143,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # instruction stream
     # ------------------------------------------------------------------
-    def fetch_ready_hit(self, line: int, cycle: int) -> Optional[int]:
-        """Fast path for the overwhelmingly common fetch outcome: ``line``
-        is resident, its fill has completed, and no prefetch bookkeeping
-        applies. Returns the ready cycle, or None when the caller must
-        take the full :meth:`fetch_instruction` path (miss, pending fill,
-        first touch of a prefetched line, or iTLB enabled).
-
-        Counter effects are exactly the L1-hit slice of
-        :meth:`fetch_instruction` — demand-access count, cache access/LRU
-        — so interleaving the two paths keeps every statistic identical.
-        """
-        if self.itlb is not None:
-            return None
-        l1i = self.l1i
-        state = l1i._lines.get(line)
-        if state is None or state.ready_cycle > cycle or state.unused_prefetch:
-            return None
-        self.l1i_demand_accesses += 1
-        l1i.accesses += 1
-        clock = l1i._clock + 1
-        l1i._clock = clock
-        state.lru = clock
-        return cycle + self._l1_hit
-
     def fetch_instruction(self, line: int, cycle: int) -> InstructionFetchResult:
         """Demand-stream access (FTQ enqueue / IFU fetch) to ``line``.
 

@@ -10,8 +10,7 @@ shielded as long as at most ``protected_ways`` of the set hold P-bits.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from repro.utils import derive_rng
 

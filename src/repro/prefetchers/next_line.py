@@ -43,9 +43,6 @@ class NextLinePrefetcher(Prefetcher):
         self._last_line: Optional[int] = None
         self.prefetch_requests = 0
 
-    def _worth_idx(self, line: int) -> int:
-        return line % self.config.worth_entries
-
     def on_ftq_enqueue(self, entry: FTQEntry, cycle: int) -> None:
         """A new fetch target entered the FTQ."""
         cfg = self.config
@@ -59,7 +56,7 @@ class NextLinePrefetcher(Prefetcher):
         last = self._last_line
         for line in entry.lines:
             if train and last is not None:
-                idx = last % worth_entries  # inlined _worth_idx
+                idx = last % worth_entries  # direct-mapped worth slot
                 ctr = worth_get(idx, 0)
                 if line == last + 1:
                     worth[idx] = ctr + 1 if ctr < 3 else 3

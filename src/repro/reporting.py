@@ -9,7 +9,7 @@ reproduction deliberately avoids as a dependency).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 #: bar glyph per series, cycled
 _GLYPHS = "#*+o%@=~"

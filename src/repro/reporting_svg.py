@@ -11,7 +11,7 @@ series (Fig. 14), and scatter (Fig. 15).
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 #: categorical palette (color-blind-safe-ish, no external deps)
 PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f",

@@ -446,12 +446,14 @@ class Machine:
         predict_block = self.bpu.predict_block
         hierarchy = self.hierarchy
         fetch = hierarchy.fetch_instruction
-        # ready L1-I hits (the overwhelmingly common case) are an inlined
-        # hierarchy.fetch_ready_hit with *batched* counter updates: access
-        # counts and the LRU clock accumulate in locals, flushed before
-        # any full fetch_instruction call, so the interleaving leaves
-        # every counter exactly as the per-line calls would have. The
-        # iTLB charges a walk on every access, so it takes the full call.
+        # ready L1-I hits (the overwhelmingly common case) are the L1-hit
+        # slice of hierarchy.fetch_instruction, inlined with *batched*
+        # counter updates: access counts and the LRU clock accumulate in
+        # locals, flushed before any full fetch_instruction call, so the
+        # interleaving leaves every counter exactly as per-line calls
+        # would have (pinned by test_event_horizon's zero-walk iTLB
+        # test). The iTLB charges a walk on every access, so with it on
+        # every line takes the full call.
         batched = hierarchy.itlb is None
         l1i = hierarchy.l1i
         state_get = l1i._lines.get

@@ -20,9 +20,10 @@ to assemble the machine for it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.pdip import PDIPConfig, PDIPController
+from repro.core.pdip_table import PDIPTable
 from repro.frontend.prefetch_queue import PrefetchQueue
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import EmissaryPolicy, LRUPolicy
@@ -62,8 +63,7 @@ class PolicySpec:
     def prefetcher_storage_kb(self) -> float:
         """Prefetch-table budget this policy spends."""
         if self.pdip_kb is not None:
-            assoc = PDIP_ASSOC_FOR_KB[self.pdip_kb]
-            return 512 * assoc * 87 / 8.0 / 1024.0
+            return PDIPTable(PDIP_ASSOC_FOR_KB[self.pdip_kb]).storage_kb
         if self.eip_kb is not None:
             return self.eip_kb
         return 0.0

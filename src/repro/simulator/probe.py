@@ -34,7 +34,7 @@ two runs differ?".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 _SPARKS = " .:-=+*#%@"
 

@@ -85,13 +85,17 @@ class TelemetrySession:
         self._attached: List[object] = []
 
     @classmethod
-    def from_env(cls) -> "TelemetrySession":
+    def from_env(cls, capacity: Optional[int] = None,
+                 sample_every: Optional[int] = None) -> "TelemetrySession":
         """Build a session from ``REPRO_TELEMETRY_CAPACITY`` /
-        ``REPRO_TELEMETRY_SAMPLE`` (defaults: 65536 / 1)."""
-        capacity = int(os.environ.get("REPRO_TELEMETRY_CAPACITY",
-                                      str(DEFAULT_CAPACITY)))
-        sample = int(os.environ.get("REPRO_TELEMETRY_SAMPLE", "1"))
-        return cls(capacity=capacity, sample_every=sample)
+        ``REPRO_TELEMETRY_SAMPLE`` (defaults: 65536 / 1); an explicit
+        ``capacity`` or ``sample_every`` wins over its variable."""
+        if capacity is None:
+            capacity = int(os.environ.get("REPRO_TELEMETRY_CAPACITY",
+                                          str(DEFAULT_CAPACITY)))
+        if sample_every is None:
+            sample_every = int(os.environ.get("REPRO_TELEMETRY_SAMPLE", "1"))
+        return cls(capacity=capacity, sample_every=sample_every)
 
     # ------------------------------------------------------------------
     def attach(self, machine) -> "TelemetrySession":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import gzip
 import io
-from typing import Dict, IO, Iterable, List, Optional, Tuple
+from typing import Dict, IO, Iterable, List, Tuple
 
 from repro.traces.schema import (
     DEFAULT_ISIZE,

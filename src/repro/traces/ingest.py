@@ -40,7 +40,6 @@ from repro.traces.downsample import (
     DEFAULT_WINDOW,
     DownsampleReport,
     downsample_events,
-    estimate_instructions,
 )
 from repro.traces.schema import (
     DEFAULT_ISIZE,

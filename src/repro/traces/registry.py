@@ -16,11 +16,14 @@ Importing it registers:
 Registration is cheap: only the :class:`TraceProfile` (name, pinned
 digest, event/instruction counts) is built eagerly, so computing a run
 key over a trace benchmark costs no I/O.  The heavy work — resolving
-the blob (store by digest, else re-ingest from the source file) and
-synthesising the layout — happens once per process, memoized, the
-first time a layout or walker is actually needed.  A resolved blob
-whose digest disagrees with the pinned one fails with category
-``bundle-drift`` rather than silently simulating a different workload.
+the blob and synthesising the layout — happens once per process,
+memoized, the first time a layout or walker is actually needed.  A
+bundled trace re-ingests from its package file and touches no store,
+so resolving it from a checkout leaves the checkout's store as it was;
+a user trace resolves from the store by digest, else re-ingests from
+its source file.  A resolved blob whose digest disagrees with the
+pinned one fails with category ``bundle-drift`` rather than silently
+simulating a different workload.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ def get_workload(name: str) -> TraceWorkload:
         if spec is None:
             raise KeyError("unknown trace benchmark %r" % (name,))
         path = spec.get("path")
+        # a bundled trace re-ingests from its package file and is never
+        # stored; a user trace resolves from the store that holds it
         wl = load_workload(
             name, str(spec["digest"]),
-            store=open_store(),
+            store=None if name in _BUNDLED_NAMES else open_store(),
             path=str(path) if path else None,
             fmt=str(spec.get("format", "auto")),
             budget=int(spec.get("budget", DEFAULT_BUDGET)),  # type: ignore[arg-type]

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.workloads.generator import generate_layout
-from repro.workloads.layout import BranchKind, CodeLayout
+from repro.workloads.layout import CodeLayout
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.walker import PathWalker
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Union
 
 from repro.workloads.layout import BranchKind, CodeLayout
 from repro.workloads.walker import ControlFlowEvent, PathWalker

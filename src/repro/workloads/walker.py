@@ -18,11 +18,9 @@ Two walkers:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.utils import SLOTTED, derive_rng
+from repro.utils import derive_rng
 from repro.workloads.layout import BasicBlock, BranchKind, CodeLayout
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from repro import bench
 from repro.bench import (
     BenchCell,
     BenchReport,
@@ -143,6 +144,57 @@ class TestModelledWorkGate:
                           verbose=False)
         failures = check_regression(other)
         assert len(failures) == 1 and "simulated_cycles" in failures[0]
+
+
+class TestPerCellCalibration:
+    """Each cell is normalized by a calibration taken right before it."""
+
+    BASE = [BenchCell(name="cell-%d" % i, benchmark="tatp",
+                      policy="baseline", instructions=2_000, warmup=400)
+            for i in range(4)]
+
+    def _run(self, tmp_path, monkeypatch, speeds, calibs):
+        """``run_bench`` over four cells where cell i runs at ``speeds[i]``
+        cycles/s and the calibration before it reads ``calibs[i]``."""
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"calib_score": 100.0, "cells": [
+            {"name": c.name, "simulated_cycles": 1000, "ipc": 1.0,
+             "cycles_per_sec": 1000.0, "norm_score": 10.0}
+            for c in self.BASE]}))
+        order = []
+        calib_iter = iter(calibs)
+
+        def fake_calibrate():
+            order.append("calibrate")
+            return next(calib_iter)
+
+        def fake_run_cell(cell, repeats=2):
+            order.append(cell.name)
+            speed = speeds[int(cell.name.split("-")[1])]
+            return {"name": cell.name, "simulated_cycles": 1000, "ipc": 1.0,
+                    "cycles_per_sec": speed, "wall_s": 1000 / speed}
+
+        monkeypatch.setattr(bench, "calibrate", fake_calibrate)
+        monkeypatch.setattr(bench, "run_cell", fake_run_cell)
+        report = run_bench(self.BASE, baseline_path=baseline, verbose=False)
+        assert order == [step for c in self.BASE
+                         for step in ("calibrate", c.name)]
+        assert [r["calib_score"] for r in report.cells] == list(calibs)
+        return report
+
+    def test_host_halving_mid_grid_passes(self, tmp_path, monkeypatch):
+        report = self._run(tmp_path, monkeypatch,
+                           speeds=[1000.0, 1000.0, 500.0, 500.0],
+                           calibs=[100.0, 100.0, 50.0, 50.0])
+        assert check_regression(report) == []
+        assert report.to_dict()["calib_score"] == 75.0  # the median
+
+    def test_one_slow_cell_still_fails(self, tmp_path, monkeypatch):
+        report = self._run(tmp_path, monkeypatch,
+                           speeds=[1000.0, 500.0, 1000.0, 1000.0],
+                           calibs=[100.0, 100.0, 100.0, 100.0])
+        failures = check_regression(report)
+        assert len(failures) == 1 and "cell-1" in failures[0]
 
 
 class TestReportDocument:

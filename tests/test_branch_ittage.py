@@ -68,6 +68,6 @@ class TestITTAGE:
 
     def test_history_lengths_geometric(self):
         it = ITTAGEPredictor(num_tables=5, min_history=4, max_history=64)
-        assert it.hist_lens[0] == 4
-        assert it.hist_lens[-1] == 64
-        assert it.hist_lens == sorted(it.hist_lens)
+        assert it.history.lengths[0] == 4
+        assert it.history.lengths[-1] == 64
+        assert it.history.lengths == sorted(it.history.lengths)

@@ -165,8 +165,9 @@ class TestCommands:
         assert rc == 0
         with ResultStore(root) as store:
             info = store.info()
-        # the cell and the trace blob behind its layout, in the one store
-        assert (info["rows"], info["traces"]) == (1, 1)
+        # the cell lands in the one store; the bundled trace behind its
+        # layout re-ingests from its package file and is stored nowhere
+        assert (info["rows"], info["traces"]) == (1, 0)
 
     def test_run_prefetcher_shows_ppki(self, capsys):
         main(["run", "noop", "pdip_44", "--instructions", "4000",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.pdip_table import PDIPTable, PDIP_TABLE_SETS
+from repro.simulator.policies import PDIP_ASSOC_FOR_KB
 
 
 class TestStorageArithmetic:
@@ -22,9 +23,12 @@ class TestStorageArithmetic:
         assert PDIPTable(assoc=16).storage_kb == pytest.approx(87.0)
 
     def test_for_budget(self):
-        assert PDIPTable.for_budget_kb(11).assoc == 2
-        assert PDIPTable.for_budget_kb(44).assoc == 8
-        assert PDIPTable.for_budget_kb(87).assoc == 16
+        """Every PDIP policy budget gets the largest power-of-two
+        associativity whose 512-set table fits in it."""
+        for budget_kb, assoc in PDIP_ASSOC_FOR_KB.items():
+            assert assoc & (assoc - 1) == 0
+            assert PDIPTable(assoc=assoc).storage_kb <= budget_kb
+            assert PDIPTable(assoc=2 * assoc).storage_kb > budget_kb
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -66,7 +70,7 @@ class TestInsertLookup:
 
 
 class TestMaskCompaction:
-    """Section 5.1: following blocks fold into the 4-bit mask."""
+    """Section 5.1: following blocks fold into the (default 4-bit) mask."""
 
     def test_next_block_merges_into_mask(self):
         table = PDIPTable()
@@ -77,16 +81,21 @@ class TestMaskCompaction:
         assert table.mask_merges == 1
         assert table.target_inserts == 1  # second insert was a mask merge
 
-    def test_mask_reach_is_four_blocks(self):
-        table = PDIPTable()
+    @pytest.mark.parametrize("mask_bits", [4, 8])
+    def test_mask_reach_is_mask_bits_blocks(self, mask_bits):
+        """A target ``mask_bits`` blocks out folds into the last mask bit
+        and comes back from ``lookup``; one block further is a target of
+        its own."""
+        table = PDIPTable(mask_bits=mask_bits)
         table.insert(100, 900)
-        table.insert(100, 904)  # delta 4: last mask bit
-        assert {l for l, _ in table.lookup(100)} == {900, 904}
-        table2 = PDIPTable()
+        table.insert(100, 900 + mask_bits)
+        assert table.mask_merges == 1 and table.target_inserts == 1
+        assert {l for l, _ in table.lookup(100)} == {900, 900 + mask_bits}
+        table2 = PDIPTable(mask_bits=mask_bits)
         table2.insert(100, 900)
-        table2.insert(100, 905)  # delta 5: beyond the mask
-        assert table2.mask_merges == 0
-        assert {l for l, _ in table2.lookup(100)} == {900, 905}
+        table2.insert(100, 901 + mask_bits)
+        assert table2.mask_merges == 0 and table2.target_inserts == 2
+        assert {l for l, _ in table2.lookup(100)} == {900, 901 + mask_bits}
 
     def test_paper_example(self):
         """Figure 8: mask bits 3 and 4 prefetch r, r+3, r+4."""

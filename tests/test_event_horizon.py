@@ -8,8 +8,11 @@ every-cycle view unless they opt into the coarse mode.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.simulator.machine import Machine
 from repro.simulator.policies import build_machine, get_policy
+from repro.simulator.runner import get_layout
 from repro.workloads.generator import generate_layout
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -114,3 +117,35 @@ class TestProbeInteraction:
         assert stats_a.cycles == a.cycle
         assert (b.backend.retired_instructions
                 == a.backend.retired_instructions)
+
+
+class _ZeroWalkTLB:
+    """An iTLB that always hits: ``translate`` charges no walk."""
+
+    def translate(self, line: int) -> int:
+        return 0
+
+
+class TestReadyHitBatching:
+    """``_iag_fill`` batches ready L1-I hits instead of calling
+    ``fetch_instruction`` per line. An iTLB sends every line through the
+    full call, so a zero-walk iTLB runs the unbatched rule at the same
+    timing: the two runs must agree on every counter."""
+
+    @pytest.mark.parametrize("bench,policy", [("cassandra", "pdip_44"),
+                                              ("tatp", "baseline"),
+                                              ("kafka", "eip_46")])
+    def test_zero_walk_itlb_equals_batched_hits(self, bench, policy):
+        layout = get_layout(bench, seed=3)
+        runs = []
+        for itlb in (None, _ZeroWalkTLB()):
+            m = build_machine(layout, get_profile(bench), get_policy(policy),
+                              seed=3)
+            assert m.hierarchy.itlb is None
+            m.hierarchy.itlb = itlb
+            stats = m.run(20_000, warmup=4_000)
+            h = m.hierarchy
+            runs.append((stats.to_dict(), h.l1i.accesses, h.l1i._clock,
+                         h.l1i_demand_accesses, m.cycle))
+        batched, per_line = runs
+        assert batched == per_line

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.branch.btb import BTB
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.tage import FoldedHistory
+from repro.branch.tage import GlobalHistory
 from repro.core.pdip_table import PDIPTable
 from repro.frontend.ftq import FTQ, FTQEntry
 from repro.memory.cache import Cache
@@ -38,36 +38,38 @@ class TestAddressProperties:
         assert len(span) <= nbytes // LINE_SIZE + 2
 
 
+def _registers(history):
+    """(bits, live value) of every folded register of ``history``."""
+    return [(row[3], row[0])
+            for rows in (history.idx_rows, history.tag1_rows,
+                         history.tag2_rows)
+            for row in rows]
+
+
 class TestFoldedHistoryProperties:
     @given(st.integers(min_value=2, max_value=64),
            st.integers(min_value=2, max_value=16),
            st.lists(st.integers(min_value=0, max_value=1), min_size=1,
                     max_size=300))
     def test_pure_function_of_window(self, length, bits, stream):
-        """After any update sequence, the folded value depends only on the
-        last ``length`` bits."""
-        fh = FoldedHistory(length, bits)
-        window = [0] * length
+        """After any push sequence, every folded register depends only
+        on the last ``length`` bits."""
+        hist = GlobalHistory(1, length, length, bits, bits + 1)
         for b in stream:
-            fh.update(b, window[0])
-            window = window[1:] + [b]
-        replay = FoldedHistory(length, bits)
-        rwin = [0] * length
-        for b in window:
-            replay.update(b, rwin[0])
-            rwin = rwin[1:] + [b]
-        assert fh.value == replay.value
+            hist.push((b,))
+        replay = GlobalHistory(1, length, length, bits, bits + 1)
+        replay.push(([0] * length + stream)[-length:])
+        assert _registers(hist) == _registers(replay)
 
     @given(st.integers(min_value=2, max_value=64),
            st.integers(min_value=2, max_value=16),
            st.lists(st.integers(min_value=0, max_value=1), max_size=300))
     def test_value_in_range(self, length, bits, stream):
-        fh = FoldedHistory(length, bits)
-        window = [0] * length
+        hist = GlobalHistory(1, length, length, bits, bits + 1)
         for b in stream:
-            fh.update(b, window[0])
-            window = window[1:] + [b]
-            assert 0 <= fh.value < (1 << bits)
+            hist.push((b,))
+            for width, value in _registers(hist):
+                assert 0 <= value < (1 << width)
 
 
 class TestCacheProperties:

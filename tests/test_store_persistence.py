@@ -2,7 +2,9 @@
 
 * A warm figure run over a copy of the committed store simulates
   nothing and leaves every byte of the store as it was: lookups and
-  opens only read.
+  opens only read. Bundled trace benchmarks resolve from their package
+  files, so neither a layout of one nor a ``repro bench`` cell over one
+  writes to the store.
 * Trace benchmark names registered by ``repro ingest --register`` are
   rows of the store that holds their blobs: concurrent registrations
   keep every name, and ``--store`` selects which names a command knows.
@@ -27,11 +29,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import bench
 from repro.cli import main
 from repro.experiments import fig10_speedup
 from repro.service.store import ResultStore
 from repro.simulator.cache import open_store
+from repro.simulator import runner
 from repro.sweeps import executor
+from repro.traces import registry
 from tests.test_traces_ingest import write_jsonl_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,6 +127,27 @@ class TestReadsNeverWrite:
         assert after == before
         figure = ROOT / "benchmarks" / "output" / "fig10_speedup.txt"
         assert nonblank(text) == nonblank(figure.read_text())
+
+    def test_bundled_traces_leave_the_store_alone(self, tmp_path,
+                                                  monkeypatch):
+        names = registry.trace_benchmark_names()
+        if not names:
+            pytest.skip("bundled traces unavailable in this checkout")
+        store = tmp_path / "store"
+        shutil.copytree(ROOT / ".repro-results" / "store", store)
+        before = rows_and_blobs(store)
+        monkeypatch.setenv("REPRO_STORE", str(store))
+        # resolve every bundled trace afresh in this process
+        monkeypatch.setattr(registry, "_WORKLOADS", {})
+        monkeypatch.setattr(runner, "_LAYOUT_CACHE", {})
+        cell = {c.name: c for c in bench.DEFAULT_CELLS}["trphase-pdip44-short"]
+        try:
+            for name in names:
+                runner.get_layout(name, seed=1)
+            assert bench.run_cell(cell, repeats=1)["simulated_cycles"] > 0
+        finally:
+            open_store().close()
+        assert rows_and_blobs(store) == before
 
     def test_trace_run_leaves_the_store_alone(self, tmp_path, monkeypatch,
                                               capsys):

@@ -57,6 +57,14 @@ class TestAttachDetach:
         session = TelemetrySession.from_env()
         assert session.recorder.capacity == 128
         assert session.recorder.sample_every == 4
+        # an explicit value (repro trace run --capacity/--sample-every)
+        # beats its variable; the other still comes from the env
+        session = TelemetrySession.from_env(capacity=256)
+        assert session.recorder.capacity == 256
+        assert session.recorder.sample_every == 4
+        session = TelemetrySession.from_env(sample_every=2)
+        assert session.recorder.capacity == 128
+        assert session.recorder.sample_every == 2
 
 
 class TestHarvest:
