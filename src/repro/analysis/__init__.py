@@ -20,7 +20,6 @@ The package deliberately imports nothing from the simulator: it parses
 the tree, it never executes it.
 """
 
-from repro.analysis.baseline import load_baseline, match_baseline, write_baseline
 from repro.analysis.engine import (
     Finding,
     ModuleInfo,
@@ -39,8 +38,5 @@ __all__ = [
     "Rule",
     "discover",
     "get_rules",
-    "load_baseline",
-    "match_baseline",
     "run_rules",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """Driver for the ``repro lint`` subcommand.
 
-Exit codes: 0 — clean (baselined findings and warnings do not fail the
-gate); 1 — at least one new error-severity finding; 2 — usage or
-internal error (bad path, malformed baseline, unknown rule name).
+Exit codes: 0 — clean (warnings do not fail the gate); 1 — at least
+one error-severity finding, or a run over its ``--budget``; 2 — usage
+error (bad path, unknown rule name).
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    match_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     Finding,
     discover,
@@ -68,9 +62,6 @@ def _print_timings(timings: Dict[str, float], total: float,
 def run_lint(
     paths: List[str],
     fmt: str = "text",
-    baseline: Optional[str] = None,
-    no_baseline: bool = False,
-    write_baseline_path: Optional[str] = None,
     select: Optional[List[str]] = None,
     list_rules: bool = False,
     timings: bool = False,
@@ -107,30 +98,6 @@ def run_lint(
     findings = run_rules(project, rules, timings=rule_timings)
     elapsed = time.monotonic() - started
 
-    if write_baseline_path is not None:
-        target = Path(write_baseline_path)
-        write_baseline(target, findings)
-        out.write(f"wrote {len(findings)} finding(s) to {target}\n")
-        return EXIT_CLEAN
-
-    grandfathered: List[Finding] = []
-    stale_count = 0
-    if not no_baseline:
-        baseline_path = (
-            Path(baseline) if baseline is not None else root / DEFAULT_BASELINE_NAME
-        )
-        if baseline is not None and not baseline_path.exists():
-            err.write(f"repro lint: baseline not found: {baseline_path}\n")
-            return EXIT_USAGE
-        if baseline_path.exists():
-            try:
-                entries = load_baseline(baseline_path)
-            except ValueError as exc:
-                err.write(f"repro lint: {exc}\n")
-                return EXIT_USAGE
-            findings, grandfathered, stale = match_baseline(findings, entries)
-            stale_count = sum(stale.values())
-
     errors = [f for f in findings if f.severity == "error"]
     warnings = [f for f in findings if f.severity != "error"]
 
@@ -140,27 +107,14 @@ def run_lint(
             "summary": {
                 "errors": len(errors),
                 "warnings": len(warnings),
-                "baselined": len(grandfathered),
-                "stale_baseline_entries": stale_count,
             },
         }
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "github":
-        for finding in findings:
-            out.write(_gh_annotation(finding) + "\n")
-        out.write(
-            f"{len(errors)} error(s), {len(warnings)} warning(s), "
-            f"{len(grandfathered)} baselined\n"
-        )
     else:
+        render = _gh_annotation if fmt == "github" else Finding.render
         for finding in findings:
-            out.write(finding.render() + "\n")
-        summary = f"{len(errors)} error(s), {len(warnings)} warning(s)"
-        if grandfathered:
-            summary += f", {len(grandfathered)} baselined"
-        if stale_count:
-            summary += f", {stale_count} stale baseline entr(y/ies)"
-        out.write(summary + "\n")
+            out.write(render(finding) + "\n")
+        out.write(f"{len(errors)} error(s), {len(warnings)} warning(s)\n")
 
     if timings:
         _print_timings(rule_timings, elapsed, out)

@@ -9,8 +9,7 @@ parity and config coherence).
 
 Findings can be silenced inline with ``# repro: lint-ignore[rule-name]``
 (comma-separated names or ``*``) on the flagged line or on a
-comment-only line directly above it, or grandfathered in a committed
-baseline file (:mod:`repro.analysis.baseline`).
+comment-only line directly above it.
 """
 
 from __future__ import annotations
@@ -53,13 +52,8 @@ class Finding:
     message: str
     severity: str = "error"
 
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity — deliberately line-independent so moving
-        unrelated code inside a file does not churn the baseline."""
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> Dict[str, object]:
-        """JSON payload for ``--format json`` and the baseline file."""
+        """JSON payload for ``--format json``."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -207,8 +201,7 @@ class Rule:
 def find_project_root(paths: Sequence[Path]) -> Path:
     """Locate the repo root: the nearest ancestor of the first scanned
     path holding a ``pyproject.toml`` or ``.git``; else that path's own
-    directory. Determines relative finding paths and the default
-    baseline location."""
+    directory. Determines relative finding paths."""
     start = paths[0].resolve() if paths else Path.cwd()
     probe = start if start.is_dir() else start.parent
     for candidate in (probe, *probe.parents):

@@ -19,7 +19,7 @@ is further narrowed by the ``telemetry-noop-import`` rule (only
 :mod:`repro.analysis.rules.telemetry_imports`).
 
 ``traces`` (external-trace ingestion) may build on ``workloads`` and
-archive blobs through ``service``, but nothing in the model or the
+store traces through ``service``, but nothing in the model or the
 simulator may import it: ingested benchmarks reach the simulator only
 through the provider hook in ``workloads.profiles``, which loads
 ``repro.traces.registry`` by dotted name at lookup time — deliberately
@@ -76,7 +76,7 @@ ALLOWED: Dict[str, FrozenSet[str]] = {
         {"backend", "prefetchers", "core", "simulator", "service"}
     ),
     # trace ingestion builds workloads (layouts + replay streams) and
-    # archives blobs in the service store; the model and the simulator
+    # stores traces in the service store; the model and the simulator
     # must never import it — they see only the CodeLayout/walker the
     # registry hands back through workloads.profiles' provider hook
     # (loaded by dotted name precisely so no static edge exists here)

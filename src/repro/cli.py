@@ -17,7 +17,7 @@ Commands:
   To bring a trace captured *outside* this simulator, see ``ingest``;
 * ``ingest`` — import an **external** basic-block trace (schema-v1
   JSONL, ChampSim branch records, or ``pc,target,taken`` CSV) as a
-  content-addressed blob, optionally registering it as a first-class
+  content-addressed store row, optionally registering it as a first-class
   benchmark name usable in ``run``/``suite``/``sweep``/``bench``
   (see :mod:`repro.traces`);
 * ``diff`` — compare two run dumps / manifests / traces and name the
@@ -56,7 +56,7 @@ import sys
 from typing import Callable, Container, List, Optional, Sequence
 
 from repro.experiments import FIGURES, artifact_files
-from repro.simulator.cache import STORE_ENV, open_store
+from repro.simulator.cache import STORE_ENV, StoreSchemaError, open_store
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
     DEFAULT_BACKOFF_S,
@@ -225,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "github"),
                         help="report format (github emits Actions "
                              "::error annotations)")
-    p_lint.add_argument("--baseline", default=None,
-                        help="baseline JSON (default: <root>/lint_baseline.json "
-                             "when present)")
-    p_lint.add_argument("--no-baseline", action="store_true",
-                        help="report baselined findings too")
-    p_lint.add_argument("--write-baseline", default=None, metavar="PATH",
-                        help="write current findings as the baseline at PATH "
-                             "and exit")
     p_lint.add_argument("--select", default=None,
                         help="comma-separated rule names (default: all)")
     p_lint.add_argument("--list-rules", action="store_true",
@@ -675,11 +667,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     select = ([s.strip() for s in args.select.split(",") if s.strip()]
               if args.select else None)
-    return run_lint(args.paths, fmt=args.format, baseline=args.baseline,
-                    no_baseline=args.no_baseline,
-                    write_baseline_path=args.write_baseline,
-                    select=select, list_rules=args.list_rules,
-                    timings=args.timings, budget=args.budget)
+    return run_lint(args.paths, fmt=args.format, select=select,
+                    list_rules=args.list_rules, timings=args.timings,
+                    budget=args.budget)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1002,9 +992,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     early = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     early.add_argument("--store")
     _export_store(early.parse_known_args(argv)[0].store)
-    args = build_parser().parse_args(argv)
-    _export_store(getattr(args, "store", None))  # also an abbreviated --sto
-    return COMMANDS[args.command](args)
+    try:
+        args = build_parser().parse_args(argv)
+        _export_store(getattr(args, "store", None))  # also an abbreviated --sto
+        return COMMANDS[args.command](args)
+    except StoreSchemaError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

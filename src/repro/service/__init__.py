@@ -2,10 +2,9 @@
 
 The serving layer above the simulator's one cell worker (DESIGN.md §13):
 
-* :mod:`repro.service.store` — the content-addressed result store
-  (SQLite index + blob directory, keyed by the canonical cell digest
-  shared with the run manifests), re-exported from
-  :mod:`repro.simulator.cache`;
+* :mod:`repro.service.store` — the result store (one SQLite file,
+  keyed by the canonical cell digest shared with the run manifests),
+  re-exported from :mod:`repro.simulator.cache`;
 * :mod:`repro.service.server` — a long-lived asyncio job server
   (``repro serve``) with a priority queue, a bounded process-pool of
   simulation workers, per-job timeouts, bounded retries with backoff,

@@ -11,33 +11,30 @@ once per configuration, across processes, machines sharing a volume,
 and weeks of wall time. The batch runner, the sweep executor and the
 job server all read and write :class:`ResultStore`.
 
-Layout on disk (everything under one root directory)::
+A store is one SQLite file, ``<root>/store.sqlite`` (plus SQLite's WAL
+side files while a connection is open), with three tables:
 
-    <root>/store.sqlite          # index: one row per cell key
-    <root>/blobs/ab/abcdef...json  # content-addressed payload files
+* ``results``: one row per cell key, holding the canonical JSON text of
+  the cell's stats, that of its telemetry summary when one was
+  recorded, the :func:`~repro.simulator.runner.cell_meta` row as JSON,
+  and its creation time;
+* ``traces``: one row per ingested trace, keyed by the digest of its
+  payload's canonical JSON, holding that text beside the source
+  fingerprint and counts;
+* ``trace_names``: each benchmark name registered by ``repro ingest
+  --register`` with its trace digest and registration spec (see
+  :mod:`repro.traces.registry`), so a name lives with the trace it
+  points to and ``--store`` selects both.
 
-The SQLite index maps a cell key to the *content digest* of its stats
-payload (and optionally of a telemetry dump); payloads live in the blob
-directory named by the SHA-1 of their canonical JSON. Two cells with
-bit-identical stats therefore share one blob file — sweeps that plateau
-(e.g. PDIP table sizes past the working set) deduplicate storage for
-free, and bit-identity between two runs is a file-name comparison.
-
-Consistency model: blobs are immutable once written (a digest never
-changes content) and are written atomically (a temp file named for the
-writing process and thread, then ``rename``); the index row is
-inserted only after its blob exists. Readers therefore never observe a
-partial payload. Concurrent writers of the same cell are idempotent —
-both write the same blob bytes and the second row upsert wins
-harmlessly. Reading is a pure read: a lookup, and opening a store that
-already has its schema, run only ``SELECT``. A row whose blob is missing
-or unreadable is a plain miss; the next ``put`` of that cell rewrites
-the blob. Nothing is ever evicted.
-
-The store also names ingested traces: ``trace_names`` maps a benchmark
-name registered by ``repro ingest --register`` to its trace blob's
-digest and registration spec (see :mod:`repro.traces.registry`), so a
-name lives with the blob it points to and ``--store`` selects both.
+Consistency model: each write is one SQLite transaction, so a reader
+sees a row whole or not at all, and a writer killed inside ``put``
+leaves the store as it was before that put. Concurrent writers of the
+same cell are idempotent: both write the same stats and the last
+upsert wins. Reading is a pure read: a lookup, and opening a store that
+already has its schema, run only ``SELECT``. Nothing is ever evicted.
+A root written at another :data:`STORE_SCHEMA_VERSION` is refused when
+it opens (:class:`StoreSchemaError`) and left as it is; there is no
+migration.
 
 :func:`open_store` is the process's default store, rooted at
 ``--store``/``REPRO_STORE``, else ``<cache dir>/store``
@@ -59,18 +56,18 @@ from typing import Dict, Optional, Tuple
 from repro.simulator.config import MachineConfig
 from repro.simulator.policies import PolicySpec, get_policy
 from repro.simulator.stats import SimulationStats
-from repro.utils import canonical_digest, canonical_json, json_digest
+from repro.utils import canonical_json, json_digest
 from repro.workloads.profiles import get_profile
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".repro-results"
 
 #: run-key payload version: bump when simulation semantics change in a
-#: way that must invalidate previously stored results. The store records
-#: it per row as ``code_version``.
+#: way that must invalidate previously stored results.
 RUN_KEY_VERSION = 3
 
-#: store schema version (bump when the SQLite layout changes)
-STORE_SCHEMA_VERSION = 2
+#: store schema version: bump when the SQLite layout changes. A root
+#: written at another version is refused when it opens, never migrated.
+STORE_SCHEMA_VERSION = 3
 
 #: env var naming the default store's root directory
 STORE_ENV = "REPRO_STORE"
@@ -139,84 +136,74 @@ def _now() -> float:
     return time.time()  # repro: lint-ignore[determinism-wallclock]
 
 
-#: ingested trace names; stores created before it get the table from
-#: the first registration's write transaction
-_TRACE_NAMES = """
-CREATE TABLE IF NOT EXISTS trace_names (
-    name TEXT PRIMARY KEY,
-    digest TEXT NOT NULL,
-    spec TEXT NOT NULL
-)"""
+#: the layout of a new root, created in one transaction
+_SCHEMA = (
+    "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+    "CREATE TABLE results (key TEXT PRIMARY KEY, stats TEXT NOT NULL,"
+    " telemetry TEXT, meta TEXT NOT NULL, created REAL NOT NULL)",
+    "CREATE TABLE traces (digest TEXT PRIMARY KEY, payload TEXT NOT NULL,"
+    " source_sha TEXT NOT NULL, events INTEGER NOT NULL,"
+    " instructions INTEGER NOT NULL, meta TEXT NOT NULL,"
+    " created REAL NOT NULL)",
+    "CREATE INDEX idx_traces_source ON traces (source_sha)",
+    "CREATE TABLE trace_names (name TEXT PRIMARY KEY, digest TEXT NOT NULL,"
+    " spec TEXT NOT NULL)",
+    "INSERT INTO meta (key, value) VALUES ('schema', '%d')"
+    % STORE_SCHEMA_VERSION,
+)
 
-# ``last_access`` (and ``hits`` of results) are set once, at insert, and
-# never updated: they stay so that every store, whenever written, has
-# one layout and opens with no migration
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS results (
-    key TEXT PRIMARY KEY,
-    benchmark TEXT NOT NULL DEFAULT '',
-    policy TEXT NOT NULL DEFAULT '',
-    seed INTEGER NOT NULL DEFAULT 0,
-    instructions INTEGER NOT NULL DEFAULT 0,
-    warmup INTEGER NOT NULL DEFAULT 0,
-    config_hash TEXT NOT NULL DEFAULT '',
-    code_version INTEGER NOT NULL DEFAULT 0,
-    stats_blob TEXT NOT NULL,
-    telemetry_blob TEXT,
-    manifest TEXT,
-    created REAL NOT NULL,
-    last_access REAL NOT NULL,
-    hits INTEGER NOT NULL DEFAULT 0
-);
-CREATE INDEX IF NOT EXISTS idx_results_cell
-    ON results (benchmark, policy, seed);
-CREATE TABLE IF NOT EXISTS traces (
-    digest TEXT PRIMARY KEY,
-    name TEXT NOT NULL DEFAULT '',
-    source_sha TEXT NOT NULL DEFAULT '',
-    events INTEGER NOT NULL DEFAULT 0,
-    instructions INTEGER NOT NULL DEFAULT 0,
-    meta TEXT,
-    created REAL NOT NULL,
-    last_access REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_traces_source ON traces (source_sha);
-""" + _TRACE_NAMES + ";"
+
+class StoreSchemaError(RuntimeError):
+    """A store root written at another :data:`STORE_SCHEMA_VERSION`."""
 
 
 class ResultStore:
     """Durable get/put over simulation results and ingested traces.
 
     Thread-safe (one connection guarded by a lock) and safe across
-    processes (SQLite WAL + busy timeout; blob writes are atomic
-    renames). All methods are synchronous — the async server calls
+    processes (SQLite WAL + busy timeout; each write is one
+    transaction). All methods are synchronous — the async server calls
     them through an executor.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.blob_dir = self.root / "blobs"
-        self.blob_dir.mkdir(exist_ok=True)
         self._lock = threading.Lock()
         self._db = sqlite3.connect(str(self.root / "store.sqlite"),
                                    timeout=30.0, check_same_thread=False)
-        if not self._has_table("results"):  # a new root: the only write
-            self._db.executescript(_SCHEMA)
+        schema = self._schema()
+        if schema is None:  # a new root: the only write an open makes
             self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                ("schema", str(STORE_SCHEMA_VERSION)))
-            self._db.commit()
+            # one transaction, so a process opening the root meanwhile
+            # finds no table or all of them, never half a store
+            with self._db:
+                self._db.execute("BEGIN IMMEDIATE")
+                if self._schema() is None:  # no one created it first
+                    for statement in _SCHEMA:
+                        self._db.execute(statement)
+            schema = self._schema()
+        if schema != str(STORE_SCHEMA_VERSION):
+            self._db.close()
+            raise StoreSchemaError(
+                "store %s was written at schema %s, and this version reads "
+                "schema %d only: point --store or REPRO_STORE at a fresh "
+                "root, where results re-simulate, and re-register traces "
+                "there with 'repro ingest FILE --register NAME'"
+                % (self.root, schema or "(unknown)", STORE_SCHEMA_VERSION))
 
-    def _has_table(self, name: str) -> bool:
-        return self._db.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?",
-            (name,)).fetchone() is not None
+    def _schema(self) -> Optional[str]:
+        """The schema version this root was written at ('' if it names
+        none), or None for a root that holds no table yet."""
+        tables = {name for (name,) in self._db.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        if not tables:
+            return None
+        if "meta" not in tables:
+            return ""
+        row = self._db.execute(
+            "SELECT value FROM meta WHERE key = 'schema'").fetchone()
+        return "" if row is None else str(row[0])
 
     def close(self) -> None:
         with self._lock:
@@ -241,111 +228,56 @@ class ResultStore:
         return run_key(benchmark, spec, instructions, warmup, seed, config)
 
     # ------------------------------------------------------------------
-    # blobs
-    # ------------------------------------------------------------------
-    def _blob_path(self, digest: str) -> Path:
-        return self.blob_dir / digest[:2] / (digest + ".json")
-
-    def _write_blob(self, payload) -> str:
-        """Write a JSON payload content-addressed; returns its digest."""
-        digest = canonical_digest(payload)
-        path = self._blob_path(digest)
-        if path.exists():  # identical content already stored
-            return digest
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # a temp name of this writer's own: threads of one process and
-        # other processes may be writing the same new blob at once
-        tmp = path.with_name("%s.%d.%d.tmp" % (path.name, os.getpid(),
-                                               threading.get_ident()))
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        tmp.replace(path)
-        return digest
-
-    def _read_blob(self, digest: str):
-        try:
-            with open(self._blob_path(digest)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    # ------------------------------------------------------------------
     # get / put
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimulationStats]:
-        """Stats stored under ``key``; None on a miss or a missing blob."""
+        """Stats stored under ``key``; None on a miss."""
         with self._lock:
             row = self._db.execute(
-                "SELECT stats_blob FROM results WHERE key = ?",
-                (key,)).fetchone()
-        payload = None if row is None else self._read_blob(row[0])
-        return None if payload is None else SimulationStats.from_dict(payload)
+                "SELECT stats FROM results WHERE key = ?", (key,)).fetchone()
+        return None if row is None else SimulationStats.from_dict(
+            json.loads(row[0]))
 
     def get_telemetry(self, key: str) -> Optional[Dict[str, object]]:
-        """Telemetry dump stored with the cell (None if absent)."""
+        """Telemetry summary stored with the cell (None if absent)."""
         with self._lock:
             row = self._db.execute(
-                "SELECT telemetry_blob FROM results WHERE key = ?",
+                "SELECT telemetry FROM results WHERE key = ?",
                 (key,)).fetchone()
-        if row is None or row[0] is None:
-            return None
-        return self._read_blob(row[0])
+        return None if row is None or row[0] is None else json.loads(row[0])
 
     def get_row(self, key: str) -> Optional[Dict[str, object]]:
-        """The index row (metadata, no payload) for ``key``."""
+        """The row of ``key`` without its payloads: ``key``, ``meta``
+        (the :func:`~repro.simulator.runner.cell_meta` row it was put
+        with) and ``created``."""
         with self._lock:
-            cur = self._db.execute(
-                "SELECT key, benchmark, policy, seed, instructions, warmup,"
-                " config_hash, code_version, stats_blob, telemetry_blob,"
-                " manifest, created, last_access, hits"
-                " FROM results WHERE key = ?", (key,))
-            row = cur.fetchone()
-            if row is None:
-                return None
-            names = [c[0] for c in cur.description]
-        out = dict(zip(names, row))
-        if out.get("manifest"):
-            out["manifest"] = json.loads(out["manifest"])
-        return out
+            row = self._db.execute(
+                "SELECT meta, created FROM results WHERE key = ?",
+                (key,)).fetchone()
+        if row is None:
+            return None
+        return {"key": key, "meta": json.loads(row[0]), "created": row[1]}
 
     def put(self, key: str, stats: SimulationStats,
             meta: Optional[Dict[str, object]] = None,
-            telemetry: Optional[Dict[str, object]] = None) -> str:
+            telemetry: Optional[Dict[str, object]] = None) -> None:
         """Persist a cell's stats (and optional telemetry) under ``key``.
 
-        ``meta`` is a manifest-row-shaped dict (benchmark, policy, seed,
-        instructions, warmup, config_hash, wall_time, worker, ...);
-        searchable columns are lifted out of it, the rest rides along as
-        JSON. Returns the stats payload's content digest.
+        ``meta`` is the cell's :func:`~repro.simulator.runner.cell_meta`
+        row. Putting a key again replaces its stats and meta, and keeps
+        its telemetry when this put records none.
         """
-        meta = dict(meta or {})
-        stats_digest = self._write_blob(stats.to_dict())
-        telemetry_digest = (self._write_blob(telemetry)
-                            if telemetry is not None else None)
-        now = _now()
+        params = (key, canonical_json(stats.to_dict()),
+                  None if telemetry is None else canonical_json(telemetry),
+                  json.dumps(meta or {}, sort_keys=True), _now())
         with self._lock:
             self._db.execute(
-                "INSERT INTO results (key, benchmark, policy, seed,"
-                " instructions, warmup, config_hash, code_version,"
-                " stats_blob, telemetry_blob, manifest, created,"
-                " last_access, hits)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)"
-                " ON CONFLICT(key) DO UPDATE SET"
-                " stats_blob = excluded.stats_blob,"
-                " telemetry_blob = COALESCE(excluded.telemetry_blob,"
-                "                           results.telemetry_blob),"
-                " manifest = excluded.manifest",
-                (key, str(meta.get("benchmark", "")),
-                 str(meta.get("policy", "")),
-                 int(meta.get("seed", 0)),
-                 int(meta.get("instructions", 0)),
-                 int(meta.get("warmup", 0)),
-                 str(meta.get("config_hash", "")),
-                 int(meta.get("code_version", RUN_KEY_VERSION)),
-                 stats_digest, telemetry_digest,
-                 json.dumps(meta, sort_keys=True), now, now))
+                "INSERT INTO results (key, stats, telemetry, meta, created)"
+                " VALUES (?, ?, ?, ?, ?) ON CONFLICT(key) DO UPDATE SET"
+                " stats = excluded.stats, meta = excluded.meta,"
+                " telemetry = COALESCE(excluded.telemetry,"
+                "                      results.telemetry)", params)
             self._db.commit()
-        return stats_digest
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -360,92 +292,75 @@ class ResultStore:
         return int(n)
 
     # ------------------------------------------------------------------
-    # trace blobs (ingested external workloads)
+    # traces (ingested external workloads)
     # ------------------------------------------------------------------
-    # Traces are *inputs*, not results: rows are keyed by the blob's own
-    # content digest. ``source_sha`` fingerprints (source bytes, ingest
-    # parameters) so re-ingesting the same file is a pure index lookup —
+    # Traces are *inputs*, not results: rows are keyed by the payload's
+    # own content digest. ``source_sha`` fingerprints (source bytes,
+    # ingest parameters) so re-ingesting the same file is a pure lookup —
     # zero pipeline work.
 
-    def put_trace(self, payload: Dict[str, object], name: str = "",
-                  source_sha: str = "",
+    def put_trace(self, payload: Dict[str, object], source_sha: str = "",
                   meta: Optional[Dict[str, object]] = None
                   ) -> Tuple[str, bool]:
-        """Store an ingested trace blob; ``(digest, created)``.
+        """Store an ingested trace payload; ``(digest, created)``.
 
-        ``created`` is False when the digest was already indexed (the
-        blob write itself is always idempotent). Putting an indexed
-        digest again rewrites every column of its row but ``created``
-        and ``last_access``, so a row with stale counts is repaired.
+        ``created`` is False when the digest was already stored. Putting
+        a stored digest again rewrites every column of its row but
+        ``payload`` (the same text) and ``created``, so a row with stale
+        counts is repaired.
         """
-        digest = self._write_blob(payload)
-        now = _now()
-        with self._lock:
+        text = canonical_json(payload)
+        digest = json_digest(text)
+        meta = meta or {}
+        params = (digest, text, source_sha,
+                  int(len(payload.get("events", ()))),  # type: ignore[arg-type]
+                  int(meta.get("instructions", 0)),  # type: ignore[arg-type]
+                  json.dumps(meta, sort_keys=True), _now())
+        with self._lock, self._db:
+            self._db.execute("BEGIN IMMEDIATE")
             existed = self._db.execute(
                 "SELECT 1 FROM traces WHERE digest = ?",
                 (digest,)).fetchone() is not None
             self._db.execute(
-                "INSERT INTO traces (digest, name, source_sha, events,"
-                " instructions, meta, created, last_access)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+                "INSERT INTO traces (digest, payload, source_sha, events,"
+                " instructions, meta, created) VALUES (?, ?, ?, ?, ?, ?, ?)"
                 " ON CONFLICT(digest) DO UPDATE SET"
-                " name = excluded.name,"
                 " source_sha = excluded.source_sha,"
                 " events = excluded.events,"
                 " instructions = excluded.instructions,"
-                " meta = excluded.meta",
-                (digest, name, source_sha,
-                 int(len(payload.get("events", ()))),  # type: ignore[arg-type]
-                 int((meta or {}).get("instructions", 0)),
-                 json.dumps(meta or {}, sort_keys=True), now, now))
-            self._db.commit()
+                " meta = excluded.meta", params)
         return digest, not existed
 
     def get_trace(self, digest: str) -> Optional[Dict[str, object]]:
-        """Trace blob payload by digest (None on miss)."""
+        """Trace payload by digest (None on miss)."""
         with self._lock:
             row = self._db.execute(
-                "SELECT 1 FROM traces WHERE digest = ?",
+                "SELECT payload FROM traces WHERE digest = ?",
                 (digest,)).fetchone()
-        if row is None:
-            return None
-        return self._read_blob(digest)
+        return None if row is None else json.loads(row[0])
 
     def find_trace(self, source_sha: str) -> Optional[Dict[str, object]]:
-        """Newest trace row ingested with fingerprint ``source_sha``."""
+        """Newest trace row ingested with fingerprint ``source_sha``,
+        without its payload."""
         with self._lock:
             cur = self._db.execute(
-                "SELECT digest, name, source_sha, events, instructions,"
-                " meta, created, last_access FROM traces"
-                " WHERE source_sha = ? ORDER BY created DESC LIMIT 1",
-                (source_sha,))
+                "SELECT digest, source_sha, events, instructions, meta,"
+                " created FROM traces WHERE source_sha = ?"
+                " ORDER BY created DESC LIMIT 1", (source_sha,))
             row = cur.fetchone()
             if row is None:
                 return None
             names = [c[0] for c in cur.description]
         out = dict(zip(names, row))
-        if out.get("meta"):
-            out["meta"] = json.loads(out["meta"])
+        out["meta"] = json.loads(out["meta"])
         return out
-
-    def list_traces(self) -> "list[Dict[str, object]]":
-        """All trace rows (metadata only), newest first."""
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT digest, name, source_sha, events, instructions,"
-                " created, last_access FROM traces ORDER BY created DESC")
-            names = [c[0] for c in cur.description]
-            rows = cur.fetchall()
-        return [dict(zip(names, row)) for row in rows]
 
     def name_trace(self, name: str, digest: str,
                    spec: Dict[str, object]) -> None:
         """Point trace benchmark ``name`` at ``digest`` (upsert)."""
-        # one write transaction (committed, or rolled back on error),
-        # which also gives a store that predates the table its trace_names
+        # one write transaction, committed or rolled back on error
         with self._lock, self._db:
             self._db.execute("BEGIN IMMEDIATE")
-            self._db.execute(_TRACE_NAMES)
             self._db.execute(
                 "INSERT INTO trace_names (name, digest, spec)"
                 " VALUES (?, ?, ?) ON CONFLICT(name) DO UPDATE SET"
@@ -455,8 +370,6 @@ class ResultStore:
     def trace_names(self) -> Dict[str, Tuple[str, Dict[str, object]]]:
         """``{name: (digest, spec)}`` of every named trace."""
         with self._lock:
-            if not self._has_table("trace_names"):
-                return {}  # a store from before trace names: none
             rows = self._db.execute(
                 "SELECT name, digest, spec FROM trace_names").fetchall()
         return {name: (digest, json.loads(spec))
@@ -466,21 +379,14 @@ class ResultStore:
     # maintenance
     # ------------------------------------------------------------------
     def info(self) -> Dict[str, object]:
-        """Row/blob counts and byte totals (the ``/healthz`` payload)."""
-        blobs = list(self.blob_dir.glob("*/*.json"))
+        """Root, schema and row counts (the ``/healthz`` payload)."""
         with self._lock:
             (rows,) = self._db.execute(
                 "SELECT COUNT(*) FROM results").fetchone()
             (traces,) = self._db.execute(
                 "SELECT COUNT(*) FROM traces").fetchone()
-        return {
-            "root": str(self.root),
-            "schema": STORE_SCHEMA_VERSION,
-            "rows": int(rows),
-            "traces": int(traces),
-            "blobs": len(blobs),
-            "blob_bytes": sum(p.stat().st_size for p in blobs),
-        }
+        return {"root": str(self.root), "schema": STORE_SCHEMA_VERSION,
+                "rows": int(rows), "traces": int(traces)}
 
 
 def store_root(path: "str | Path | None" = None) -> Path:
@@ -529,6 +435,6 @@ def load(key: str) -> Optional[SimulationStats]:
 
 
 def store(key: str, stats: SimulationStats,
-          meta: Optional[Dict[str, object]] = None) -> str:
+          meta: Optional[Dict[str, object]] = None) -> None:
     """Persist a run's stats under its key in the default store."""
-    return open_store().put(key, stats, meta=meta)
+    open_store().put(key, stats, meta=meta)

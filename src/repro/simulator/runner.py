@@ -150,8 +150,8 @@ def cell_meta(benchmark: str, policy: str, seed: int, instructions: int,
     """The store-row metadata of one simulated cell, one shape for all.
 
     :func:`run_benchmark`, the sweep executor and the job server pass it
-    to :meth:`~repro.simulator.cache.ResultStore.put`, which adds the
-    ``code_version`` column. ``label`` names the writer: ``run``,
+    to :meth:`~repro.simulator.cache.ResultStore.put`, which stores it as
+    the row's ``meta``. ``label`` names the writer: ``run``,
     ``sweep:<name>`` or ``job:<id>``.
     """
     return {"benchmark": benchmark, "policy": policy, "seed": seed,

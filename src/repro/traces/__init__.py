@@ -10,7 +10,7 @@ downsamples it to a simulable instruction budget
 replayable control-flow stream from the observed edges
 (:mod:`repro.traces.synthesize`), and content-addresses the result in
 the ``ResultStore`` (:mod:`repro.traces.ingest`) so every run, sweep and
-service cell resolves the same immutable blob by digest.
+service cell resolves the same immutable trace row by digest.
 
 :mod:`repro.traces.registry` registers bundled traces (and any traces
 the user ingested with ``repro ingest --register``) as first-class

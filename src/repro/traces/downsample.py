@@ -48,7 +48,7 @@ def estimate_instructions(event: BlockEvent, isize: int) -> int:
 
 @dataclass(frozen=True)
 class DownsampleReport:
-    """What the sampler did — carried into the ingest report and blob meta."""
+    """What the sampler did — carried into the ingest report and trace row."""
 
     events_in: int
     events_kept: int

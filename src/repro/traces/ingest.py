@@ -1,11 +1,11 @@
-"""The ingest pipeline: trace file -> content-addressed workload blob.
+"""The ingest pipeline: trace file -> content-addressed workload payload.
 
 ``ingest_path`` is the one entry point: it parses/converts the input
 (:mod:`repro.traces.convert`), derives the dynamic block-event stream,
 downsamples it to the instruction budget
 (:mod:`repro.traces.downsample`), canonicalises the kept events into a
-**blob payload** whose :func:`repro.utils.canonical_digest` is the
-trace's identity everywhere (store blob name, ``TraceProfile.
+**trace payload** whose :func:`repro.utils.canonical_digest` is the
+trace's identity everywhere (its store row's key, ``TraceProfile.
 trace_digest``, and therefore every run key computed over the
 benchmark), and records it in the :class:`~repro.simulator.cache.
 ResultStore` ``traces`` table.
@@ -17,14 +17,14 @@ the store for it — a hit skips parsing, sampling and synthesis entirely
 ``ingest-smoke`` job can assert a warm re-run performed zero
 ingestions).
 
-Blob payload (JSON, digested canonically)::
+Trace payload (JSON, digested canonically)::
 
     {"schema": "repro-xtrace-blob", "version": 1, "isize": 4,
      "events": [[start, end, size, taken, kind_index], ...]}
 
 The payload deliberately excludes names, paths and timestamps: identity
 is content.  Two ingests of the same trace under different names share
-one blob; two different traces can never collide.
+one row; two different traces can never collide.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.utils import canonical_digest
 BLOB_SCHEMA = "repro-xtrace-blob"
 BLOB_VERSION = 1
 
-#: Cold pipeline executions (parse + downsample + blob) since import.
+#: Cold pipeline executions (parse + downsample + payload) since import.
 #: Warm re-ingests (source_sha store hits) must not bump this.
 PIPELINE_RUNS = 0
 
@@ -74,7 +74,7 @@ class IngestReport:
 
 
 def blob_payload(events: List[BlockEvent], isize: int) -> Dict[str, object]:
-    """Canonical blob payload for a kept event stream."""
+    """Canonical trace payload for a kept event stream."""
     return {
         "schema": BLOB_SCHEMA,
         "version": BLOB_VERSION,
@@ -85,7 +85,7 @@ def blob_payload(events: List[BlockEvent], isize: int) -> Dict[str, object]:
 
 
 def events_from_blob(payload: Dict[str, object]) -> Tuple[List[BlockEvent], int]:
-    """Decode a blob payload back into ``(events, isize)``."""
+    """Decode a trace payload back into ``(events, isize)``."""
     if (not isinstance(payload, dict)
             or payload.get("schema") != BLOB_SCHEMA):
         raise TraceIngestError("payload is not a %s blob" % BLOB_SCHEMA)
@@ -108,7 +108,7 @@ def source_fingerprint(path: str, fmt: str, budget: int, window: int,
 
     Any change to either the file or the sampling parameters produces a
     different fingerprint, so a store hit is guaranteed to resolve to
-    the exact blob this invocation would have produced.
+    the exact payload this invocation would have produced.
     """
     sha = hashlib.sha1()
     sha.update(("xtrace:%s:%d:%d:%d:" % (fmt, budget, window, seed))
@@ -187,7 +187,7 @@ def _ingest_cold(path: str, fmt: str, budget: int, window: int, seed: int,
             % (name, path, digest[:12], expect[:12]),
             category="bundle-drift")
     if store is not None:
-        store.put_trace(payload, name=name, source_sha=source_sha,
+        store.put_trace(payload, source_sha=source_sha,
                         meta={"format": fmt, "source": path,
                               "instructions": report.instructions_kept,
                               "budget": budget, "window": window,
@@ -205,8 +205,8 @@ def load_workload(name: str, digest: str,
                   description: str = "") -> TraceWorkload:
     """Materialise a :class:`TraceWorkload` for a known trace digest.
 
-    Resolution order: store blob by digest, then re-ingest from *path*.
-    The resulting blob digest must equal *digest* — a mismatch means the
+    Resolution order: store row by digest, then re-ingest from *path*.
+    The resulting payload digest must equal *digest* — a mismatch means the
     source drifted out from under its registration (category
     ``bundle-drift``).
     """

@@ -10,18 +10,18 @@ Importing it registers:
 * any **user traces** recorded by ``repro ingest --register NAME`` in
   the ``trace_names`` table of the default result store
   (:func:`~repro.service.store.store_root`), the store that holds
-  their blobs. A store that does not exist yet is not created: it has
+  their traces. A store that does not exist yet is not created: it has
   no names.
 
 Registration is cheap: only the :class:`TraceProfile` (name, pinned
 digest, event/instruction counts) is built eagerly, so computing a run
 key over a trace benchmark costs no I/O.  The heavy work — resolving
-the blob and synthesising the layout — happens once per process,
+the trace and synthesising the layout — happens once per process,
 memoized, the first time a layout or walker is actually needed.  A
 bundled trace re-ingests from its package file and touches no store,
 so resolving it from a checkout leaves the checkout's store as it was;
 a user trace resolves from the store by digest, else re-ingests from
-its source file.  A resolved blob whose digest disagrees with the
+its source file.  A resolved trace whose digest disagrees with the
 pinned one fails with category ``bundle-drift`` rather than silently
 simulating a different workload.
 """

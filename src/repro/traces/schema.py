@@ -34,7 +34,7 @@ of instructions: the basic block entered at the previous record's
 flow-out address and terminated by the current record's ``pc``.  That
 derived *block event stream* (see :func:`derive_block_events`) is what
 the downsampler and the layout synthesizer operate on, and what the
-content-addressed blob stores.
+content-addressed trace payload stores.
 
 Malformed-input taxonomy
 ------------------------

@@ -64,7 +64,7 @@ class TraceProfile(WorkloadProfile):
     Subclassing :class:`WorkloadProfile` keeps every consumer working
     (the machine reads ``backend_stall_prob`` & friends; the cache
     freezes the profile field-by-field).  The extra fields tie the
-    benchmark to its blob: ``trace_digest`` enters the canonical run
+    benchmark to its trace: ``trace_digest`` enters the canonical run
     digest via :func:`repro.utils.freeze`, so two different traces can
     never share a run key even under the same benchmark name.
     """

@@ -1,13 +1,11 @@
-"""Engine-level tests: discovery, suppressions, baseline round-trip."""
+"""Engine-level tests: discovery, suppressions, rule registry."""
 
-import json
 from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
-from repro.analysis.baseline import load_baseline, match_baseline, write_baseline
-from repro.analysis.engine import Finding, discover, run_rules
+from repro.analysis.engine import discover, run_rules
 from repro.analysis.rules import get_rules
 from repro.analysis.rules.determinism import WallClockRule
 
@@ -104,60 +102,6 @@ class TestSuppressions:
             "import time\nt = time.time()  # repro: lint-ignore[*]\n",
         )
         assert findings == []
-
-
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding("rule-a", "pkg/a.py", 3, "first"),
-            Finding("rule-a", "pkg/a.py", 9, "first"),
-            Finding("rule-b", "pkg/b.py", 1, "second"),
-        ]
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._findings())
-        entries = load_baseline(path)
-        new, grandfathered, stale = match_baseline(self._findings(), entries)
-        assert new == []
-        assert len(grandfathered) == 3
-        assert sum(stale.values()) == 0
-
-    def test_line_moves_do_not_churn(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._findings())
-        moved = [
-            Finding("rule-a", "pkg/a.py", 30, "first"),
-            Finding("rule-a", "pkg/a.py", 90, "first"),
-            Finding("rule-b", "pkg/b.py", 10, "second"),
-        ]
-        new, grandfathered, _ = match_baseline(moved, load_baseline(path))
-        assert new == []
-        assert len(grandfathered) == 3
-
-    def test_multiset_matching(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._findings()[:1])  # one entry for "first"
-        new, grandfathered, _ = match_baseline(
-            self._findings()[:2], load_baseline(path))
-        assert len(grandfathered) == 1
-        assert len(new) == 1
-
-    def test_stale_entries_reported(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._findings())
-        new, grandfathered, stale = match_baseline([], load_baseline(path))
-        assert new == [] and grandfathered == []
-        assert sum(stale.values()) == 3
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
 
 
 class TestRegistry:

@@ -155,7 +155,7 @@ class TestCommands:
         from repro.simulator.runner import clear_layout_cache
         from repro.traces import registry
 
-        # make the run resolve the trace blob, not a memoized layout
+        # make the run resolve the trace, not a memoized layout
         clear_layout_cache()
         monkeypatch.delitem(registry._WORKLOADS, "trace-phase",
                             raising=False)

@@ -4,7 +4,6 @@ import io
 import json
 from pathlib import Path
 
-from repro.analysis.baseline import load_baseline
 from repro.analysis.cli import run_lint
 from repro.cli import main
 
@@ -16,10 +15,6 @@ class TestShippedTree:
         out, err = io.StringIO(), io.StringIO()
         code = run_lint([str(REPO / "src" / "repro")], out=out, err=err)
         assert code == 0, f"lint findings on the shipped tree:\n{out.getvalue()}"
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = load_baseline(REPO / "lint_baseline.json")
-        assert sum(baseline.values()) == 0
 
     def test_json_format(self):
         out = io.StringIO()
@@ -68,8 +63,7 @@ class TestGithubFormatAndBudget:
     def test_github_annotations_on_findings(self, tmp_path):
         root = self._dirty_tree(tmp_path)
         out, err = io.StringIO(), io.StringIO()
-        code = run_lint([str(root)], fmt="github", no_baseline=True,
-                        out=out, err=err)
+        code = run_lint([str(root)], fmt="github", out=out, err=err)
         assert code == 1
         lines = out.getvalue().splitlines()
         annotations = [l for l in lines if l.startswith("::error ")]

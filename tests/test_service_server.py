@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import errno
 import os
 import re
 import signal
@@ -147,7 +146,7 @@ class TestExecuteAndStore:
         metas = {}
         with ResultStore(tmp_path / "run") as store:
             run_benchmark(use_cache=False, seed=1, store=store, **CELL)
-            metas["run"] = store.get_row(key)["manifest"]
+            metas["run"] = store.get_row(key)["meta"]
         plan = compile_spec(parse_spec({
             "name": "shape",
             "axes": {"benchmark": [CELL["benchmark"]],
@@ -156,10 +155,10 @@ class TestExecuteAndStore:
                          "warmup": CELL["warmup"]}}))
         with ResultStore(tmp_path / "sweep") as store:
             run_sweep(plan, store=store, jobs=1, state_path="")
-            metas["sweep:shape"] = store.get_row(key)["manifest"]
+            metas["sweep:shape"] = store.get_row(key)["meta"]
         h = harness(store=ResultStore(tmp_path / "served"))
         job = h.client().wait(h.client().submit(**CELL)["id"], timeout=60)
-        metas["job:" + job["id"]] = h.server.store.get_row(key)["manifest"]
+        metas["job:" + job["id"]] = h.server.store.get_row(key)["meta"]
         # each row names its writer, and all three carry the same keys
         assert {meta["label"] for meta in metas.values()} == set(metas)
         assert sorted(metas["run"]) == sorted([
@@ -297,35 +296,33 @@ class TestFailureRecovery:
 
 
 class TestStoreWriteFault:
-    @pytest.mark.parametrize("where", ["blob", "index"])
+    @pytest.mark.parametrize("where", ["index"])
     def test_failed_write_fails_job_and_frees_its_key(self, harness,
                                                        tmp_path, where):
         store = ResultStore(tmp_path / "store")
         h = harness(store=store)
         client = h.client()
         faulty = [True]
-        write_blob, put = store._write_blob, store.put
 
-        def full_disk_blob(payload):
-            if faulty:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_blob(payload)
+        class FullDisk:
+            """The store's connection, its one ``INSERT`` failing once."""
 
-        def full_disk_index(key, stats, **kwargs):
-            if not faulty:
-                return put(key, stats, **kwargs)
-            write_blob(stats.to_dict())  # the blob lands, its row does not
-            raise sqlite3.OperationalError("database or disk is full")
+            def __init__(self, db):
+                self.db = db
 
-        if where == "blob":
-            store._write_blob = full_disk_blob
-        else:
-            store.put = full_disk_index
+            def execute(self, sql, *params):
+                if sql.startswith("INSERT INTO results") and faulty:
+                    raise sqlite3.OperationalError("database or disk is full")
+                return self.db.execute(sql, *params)
+
+            def __getattr__(self, name):
+                return getattr(self.db, name)
+
+        store._db = FullDisk(store._db)
         failed = client.wait(client.submit(**CELL)["id"], timeout=30)
         assert failed["state"] == JobState.FAILED
         assert "store write failed" in failed["error"]
-        assert ("No space left" if where == "blob"
-                else "disk is full") in failed["error"]
+        assert "disk is full" in failed["error"]
         assert h.server.counters["failed"] == 1
         key = ResultStore.cell_key(CELL["benchmark"], CELL["policy"],
                                    CELL["instructions"], CELL["warmup"])

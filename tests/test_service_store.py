@@ -1,10 +1,11 @@
-"""Tests for the content-addressed result store.
+"""Tests for the result store.
 
 Covers the acceptance scenario of the service subsystem: a sweep run
 twice against the same store performs **zero** simulations the second
 time and returns bit-identical stats; plus the store's own contracts —
-content-addressed blob dedup, a missing blob read as a miss, and the
-pinned golden-cell digest that locks the canonical cell key.
+stats stored as canonical JSON, one row per key whatever re-puts it,
+a root at another schema refused, and the pinned golden-cell digest
+that locks the canonical cell key.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import copy
 import dataclasses
 import json
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.simulator.runner import run_benchmark
 from repro.simulator.stats import SimulationStats
 from repro.traces import registry
 from repro.traces.ingest import IngestReport
-from repro.utils import canonical_digest, freeze
+from repro.utils import canonical_digest, canonical_json, freeze, json_digest
 from repro.workloads import profiles
 
 #: canonical key of the golden cell pinned in tests/test_golden_stats.py
@@ -198,15 +200,13 @@ class TestPutGet:
         assert len(store) == 1
 
     def test_meta_row_lifted_and_preserved(self, store):
-        store.put("k1", make_stats(), meta={
-            "benchmark": "tatp", "policy": "pdip_44", "seed": 3,
-            "instructions": 30000, "warmup": 6000, "wall_time": 1.5,
-        })
+        meta = {"benchmark": "tatp", "policy": "pdip_44", "seed": 3,
+                "instructions": 30000, "warmup": 6000, "wall_time": 1.5}
+        store.put("k1", make_stats(), meta=meta)
         row = store.get_row("k1")
-        assert row["benchmark"] == "tatp"
-        assert row["policy"] == "pdip_44"
-        assert row["seed"] == 3
-        assert row["manifest"]["wall_time"] == 1.5
+        assert row["key"] == "k1"
+        assert row["meta"] == meta
+        assert store.get_row("missing") is None
 
     def test_telemetry_rides_along(self, store):
         store.put("k1", make_stats(), telemetry={"events": 42})
@@ -218,48 +218,49 @@ class TestPutGet:
         store.put("k1", make_stats())
         assert store.get_telemetry("k1") == {"events": 42}
 
-    def test_torn_blob_reported_as_miss(self, store):
-        cell = dict(instructions=2000, warmup=300, store=store)
-        first = run_benchmark("noop", "baseline", **cell)
-        key = ResultStore.cell_key("noop", "baseline", 2000, 300)
-        blob = store._blob_path(store.get_row(key)["stats_blob"])
-        original = blob.read_bytes()
-        blob.unlink()
-        assert store.get(key) is None  # a plain miss; the row stays
-        again = run_benchmark("noop", "baseline", **cell)
-        assert again.to_dict() == first.to_dict()
-        assert blob.read_bytes() == original  # the re-run restored it
-        assert store.get(key).to_dict() == first.to_dict()
+    def test_reput_leaves_one_row_with_the_new_stats(self, store):
+        store.put("k1", make_stats(1000, 500), meta={"label": "run"})
+        store.put("k1", make_stats(1000, 777), meta={"label": "again"})
+        assert len(store) == 1
+        assert store.get("k1").to_dict() == make_stats(1000, 777).to_dict()
+        assert store.get_row("k1")["meta"] == {"label": "again"}
+        # the old stats left nothing behind: the store is one file
+        names = {p.name for p in store.root.iterdir()}
+        assert names <= {"store.sqlite", "store.sqlite-wal",
+                         "store.sqlite-shm"}
+        assert "store.sqlite" in names
+
+    def test_reput_with_full_meta_replaces_an_empty_one(self, store):
+        store.put("k1", make_stats(), meta={})
+        meta = runner_mod.cell_meta("tatp", "pdip_44", 3, 30000, 6000, None,
+                                    wall_time=1.5, worker="main",
+                                    attempts=1, label="run")
+        store.put("k1", make_stats(), meta=meta)
+        assert store.get_row("k1")["meta"] == meta
+        with closing(sqlite3.connect(str(store.root / "store.sqlite"))) as db:
+            columns = [c[1] for c in db.execute("PRAGMA table_info(results)")]
+        assert columns == ["key", "stats", "telemetry", "meta", "created"]
 
 
-class TestContentAddressing:
-    def test_identical_stats_share_one_blob(self, store):
-        store.put("k1", make_stats(1000, 500))
-        store.put("k2", make_stats(1000, 500))
-        assert len(store) == 2
-        assert len(list(store.blob_dir.glob("*/*.json"))) == 1
-
-    def test_different_stats_get_distinct_blobs(self, store):
-        store.put("k1", make_stats(1000, 500))
-        store.put("k2", make_stats(1000, 501))
-        assert len(list(store.blob_dir.glob("*/*.json"))) == 2
-
-    def test_blob_is_canonical_json(self, store):
-        stats = make_stats(1000, 500)
-        digest = store.put("k1", stats)
-        with open(store._blob_path(digest)) as fh:
-            assert json.load(fh) == stats.to_dict()
+class TestCanonicalText:
+    def test_stats_text_is_canonical_json_of_the_stats(self, store):
+        stats = make_stats(1000, 500, l1i_misses=7)
+        store.put("k1", stats)
+        with closing(sqlite3.connect(str(store.root / "store.sqlite"))) as db:
+            (text,) = db.execute(
+                "SELECT stats FROM results WHERE key = 'k1'").fetchone()
+        assert text == canonical_json(json.loads(text))
+        assert json_digest(text) == canonical_digest(stats.to_dict())
 
 
 class TestMaintenance:
     def test_info_counts(self, store):
         store.put("k1", make_stats(1, 1))
         store.put("k2", make_stats(2, 2))
-        info = store.info()
-        assert info["rows"] == 2
-        assert info["blobs"] == 2
-        assert info["schema"] == STORE_SCHEMA_VERSION
-        assert info["blob_bytes"] > 0
+        store.put_trace({"events": [[0, 1, 4]]}, source_sha="s")
+        assert store.info() == {"root": str(store.root),
+                                "schema": STORE_SCHEMA_VERSION,
+                                "rows": 2, "traces": 1}
 
 
 class TestOpenStore:
@@ -303,7 +304,9 @@ class TestRunnerIntegration:
                           store=store)
         assert len(store) == 1
         key = ResultStore.cell_key("noop", "baseline", 2000, 300)
-        assert store.get_row(key)["benchmark"] == "noop"
+        meta = store.get_row(key)["meta"]
+        assert (meta["benchmark"], meta["policy"], meta["label"]) == (
+            "noop", "baseline", "run")
 
         def boom(*_args, **_kw):  # pragma: no cover - must not run
             raise AssertionError("second run must not simulate")

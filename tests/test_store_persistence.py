@@ -6,10 +6,14 @@
   files, so neither a layout of one nor a ``repro bench`` cell over one
   writes to the store.
 * Trace benchmark names registered by ``repro ingest --register`` are
-  rows of the store that holds their blobs: concurrent registrations
+  rows of the store that holds their traces: concurrent registrations
   keep every name, and ``--store`` selects which names a command knows.
-* Putting a trace blob again rewrites its row's counts, so a row
-  written with a wrong instruction count does not outlive the next put.
+* Putting a trace again rewrites its row's counts, so a row written
+  with a wrong instruction count does not outlive the next put.
+* A store is one file at one schema: a root written at another schema
+  is refused, by ``ResultStore`` and by ``repro``, and left as it was;
+  processes creating a new root at once all open it; the committed
+  store is one checkpointed ``store.sqlite``.
 
 The trace-name checks run ``repro`` in fresh processes, as a user would;
 the warm figure runs in this one, so that a simulation can be caught.
@@ -32,8 +36,8 @@ import pytest
 from repro import bench
 from repro.cli import main
 from repro.experiments import fig10_speedup
-from repro.service.store import ResultStore
-from repro.simulator.cache import open_store
+from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
+from repro.simulator.cache import StoreSchemaError, open_store
 from repro.simulator import runner
 from repro.sweeps import executor
 from repro.traces import registry
@@ -81,20 +85,19 @@ def python(args, env, **kwargs):
 
 
 def snapshot(root: Path):
-    """``{relative path: bytes}`` of ``store.sqlite`` and every blob."""
-    files = [root / "store.sqlite"] + sorted((root / "blobs").glob("*/*"))
-    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+    """``{relative path: bytes}`` of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def nonblank(text: str):
     return [line for line in text.splitlines() if line.strip()]
 
 
-def rows_and_blobs(root: Path):
-    """Every row of ``store.sqlite`` (``iterdump()``) and every blob name."""
+def rows(root: Path):
+    """Every row of ``store.sqlite``, as ``iterdump()`` spells it."""
     with closing(sqlite3.connect(str(root / "store.sqlite"))) as db:
-        rows = list(db.iterdump())
-    return rows, sorted(p.name for p in (root / "blobs").glob("*/*"))
+        return list(db.iterdump())
 
 
 class TestReadsNeverWrite:
@@ -123,7 +126,7 @@ class TestReadsNeverWrite:
             open_store().close()
 
         after = snapshot(store)
-        assert sorted(after) == sorted(before)  # no blob added or removed
+        assert sorted(after) == sorted(before)  # no file added or removed
         assert after == before
         figure = ROOT / "benchmarks" / "output" / "fig10_speedup.txt"
         assert nonblank(text) == nonblank(figure.read_text())
@@ -135,7 +138,7 @@ class TestReadsNeverWrite:
             pytest.skip("bundled traces unavailable in this checkout")
         store = tmp_path / "store"
         shutil.copytree(ROOT / ".repro-results" / "store", store)
-        before = rows_and_blobs(store)
+        before = rows(store)
         monkeypatch.setenv("REPRO_STORE", str(store))
         # resolve every bundled trace afresh in this process
         monkeypatch.setattr(registry, "_WORKLOADS", {})
@@ -147,13 +150,13 @@ class TestReadsNeverWrite:
             assert bench.run_cell(cell, repeats=1)["simulated_cycles"] > 0
         finally:
             open_store().close()
-        assert rows_and_blobs(store) == before
+        assert rows(store) == before
 
     def test_trace_run_leaves_the_store_alone(self, tmp_path, monkeypatch,
                                               capsys):
         store = tmp_path / "store"
         shutil.copytree(ROOT / ".repro-results" / "store", store)
-        before = rows_and_blobs(store)
+        before = rows(store)
         monkeypatch.setenv("REPRO_STORE", str(store))
         # a cell the committed store holds: noop/pdip_44, 20000 + 4000
         try:
@@ -163,19 +166,15 @@ class TestReadsNeverWrite:
         finally:
             open_store().close()
         assert "run dump" in capsys.readouterr().out
-        assert rows_and_blobs(store) == before
+        assert rows(store) == before
 
 
 class TestTraceNames:
-    @pytest.mark.parametrize("table", ["present", "predates"])
+    @pytest.mark.parametrize("table", ["present"])
     def test_concurrent_registrations_keep_every_name(self, tmp_path,
                                                       table):
         root = tmp_path / "store"
         ResultStore(root).close()
-        if table == "predates":  # a store written before trace names
-            with closing(sqlite3.connect(str(root / "store.sqlite"))) as db:
-                db.execute("DROP TABLE trace_names")
-                db.commit()
         env = repro_env(tmp_path, REPRO_STORE=str(root))
         procs = [subprocess.Popen([sys.executable, "-c", REGISTER, str(w)],
                                   env=env, cwd=ROOT, stderr=subprocess.PIPE,
@@ -231,14 +230,121 @@ class TestTraceRows:
         sha = "a" * 40
         with ResultStore(tmp_path / "store") as store:
             digest, created = store.put_trace(
-                payload, name="t", source_sha=sha, meta={"instructions": 0})
+                payload, source_sha=sha, meta={"instructions": 0})
             assert created
             assert store.find_trace(sha)["instructions"] == 0
             again, created = store.put_trace(
-                payload, name="t", source_sha=sha,
+                payload, source_sha=sha,
                 meta={"instructions": 119369})
             assert (again, created) == (digest, False)
             row = store.find_trace(sha)
         assert row["instructions"] == 119369
         assert row["events"] == 3
         assert row["meta"] == {"instructions": 119369}
+
+
+#: the layout of a schema-2 root: an index beside a ``blobs/`` directory
+SCHEMA_2_DDL = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE results (
+    key TEXT PRIMARY KEY,
+    benchmark TEXT NOT NULL DEFAULT '',
+    policy TEXT NOT NULL DEFAULT '',
+    seed INTEGER NOT NULL DEFAULT 0,
+    instructions INTEGER NOT NULL DEFAULT 0,
+    warmup INTEGER NOT NULL DEFAULT 0,
+    config_hash TEXT NOT NULL DEFAULT '',
+    code_version INTEGER NOT NULL DEFAULT 0,
+    stats_blob TEXT NOT NULL,
+    telemetry_blob TEXT,
+    manifest TEXT,
+    created REAL NOT NULL,
+    last_access REAL NOT NULL,
+    hits INTEGER NOT NULL DEFAULT 0
+);
+CREATE INDEX idx_results_cell ON results (benchmark, policy, seed);
+CREATE TABLE traces (
+    digest TEXT PRIMARY KEY,
+    name TEXT NOT NULL DEFAULT '',
+    source_sha TEXT NOT NULL DEFAULT '',
+    events INTEGER NOT NULL DEFAULT 0,
+    instructions INTEGER NOT NULL DEFAULT 0,
+    meta TEXT,
+    created REAL NOT NULL,
+    last_access REAL NOT NULL
+);
+CREATE INDEX idx_traces_source ON traces (source_sha);
+CREATE TABLE trace_names (
+    name TEXT PRIMARY KEY,
+    digest TEXT NOT NULL,
+    spec TEXT NOT NULL
+);
+INSERT INTO meta (key, value) VALUES ('schema', '2');
+INSERT INTO results (key, stats_blob, manifest, created, last_access)
+    VALUES ('k', 'ab12', '{}', 1.0, 1.0);
+INSERT INTO trace_names (name, digest, spec) VALUES ('old', 'cd34', '{}');
+"""
+
+
+def schema_2_root(root: Path) -> Path:
+    """A store root as schema 2 wrote it: WAL index, one row, one blob."""
+    (root / "blobs" / "ab").mkdir(parents=True)
+    (root / "blobs" / "ab" / "ab12.json").write_text('{"cycles": 1}')
+    with closing(sqlite3.connect(str(root / "store.sqlite"))) as db:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.executescript(SCHEMA_2_DDL)
+    return root
+
+
+class TestSchemaGuard:
+    def test_an_old_root_is_refused_and_left_alone(self, tmp_path):
+        root = schema_2_root(tmp_path / "old")
+        before = snapshot(root)
+        with pytest.raises(StoreSchemaError) as err:
+            ResultStore(root)
+        message = str(err.value)
+        assert str(root) in message and "schema 2" in message
+        assert "REPRO_STORE" in message and "--register" in message
+        assert snapshot(root) == before
+
+    def test_repro_exits_2_with_one_line(self, tmp_path):
+        root = schema_2_root(tmp_path / "old")
+        before = snapshot(root)
+        listed = python(["-m", "repro", "list"],
+                        repro_env(tmp_path, REPRO_STORE=str(root)))
+        assert listed.returncode == 2, listed.stdout + listed.stderr
+        (line,) = nonblank(listed.stderr)
+        assert line.startswith("repro: store %s " % root)
+        assert "Traceback" not in listed.stdout + listed.stderr
+        assert snapshot(root) == before
+
+    def test_roots_created_at_once_all_open(self, tmp_path):
+        # a root another process is creating must not read as an old one
+        root = tmp_path / "new"
+        env = repro_env(tmp_path)
+        opener = ("import sys\nfrom repro.service.store import ResultStore\n"
+                  "ResultStore(sys.argv[1]).close()\n")
+        procs = [subprocess.Popen([sys.executable, "-c", opener, str(root)],
+                                  env=env, cwd=ROOT, stderr=subprocess.PIPE,
+                                  text=True)
+                 for _ in range(4)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        with ResultStore(root) as store:
+            assert store.info()["schema"] == STORE_SCHEMA_VERSION
+
+
+class TestCommittedStore:
+    def test_committed_store_is_one_checkpointed_file(self):
+        root = ROOT / ".repro-results" / "store"
+        assert sorted(p.name for p in root.iterdir()) == ["store.sqlite"]
+        # immutable: read the main file alone, as committed, and write
+        # no side file beside it
+        uri = "file:%s?immutable=1" % (root / "store.sqlite")
+        with closing(sqlite3.connect(uri, uri=True)) as db:
+            (schema,) = db.execute(
+                "SELECT value FROM meta WHERE key = 'schema'").fetchone()
+            (rows,) = db.execute("SELECT COUNT(*) FROM results").fetchone()
+        assert schema == str(STORE_SCHEMA_VERSION)
+        assert rows > 0

@@ -13,9 +13,7 @@ The two tests ISSUE-level acceptance hangs on live here:
 
 from __future__ import annotations
 
-import errno
 import json
-import os
 import sqlite3
 
 import pytest
@@ -196,9 +194,9 @@ class TestReport:
         assert small["noop"]["baseline"] is not default["noop"]["baseline"]
 
 
-def fail_next_write(monkeypatch, store, where):
-    """Make the store's next cell write fail once: ENOSPC at its blob, or
-    a full disk at its index row after the blob landed."""
+def fail_next_write(monkeypatch, store):
+    """Make the store's next cell write fail once: a full disk at the
+    one ``INSERT`` of its row."""
     armed = [True]
 
     def fire():
@@ -206,17 +204,6 @@ def fail_next_write(monkeypatch, store, where):
             return False
         armed.clear()
         return True
-
-    if where == "blob":
-        write_blob = store._write_blob
-
-        def full_disk(payload):
-            if fire():
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_blob(payload)
-
-        monkeypatch.setattr(store, "_write_blob", full_disk)
-        return "No space left"
 
     class FullIndex:
         def __init__(self, db):
@@ -237,11 +224,11 @@ def fail_next_write(monkeypatch, store, where):
 class TestStoreWriteFault:
     """A failed store write fails its cell; the rest of the grid is kept."""
 
-    @pytest.mark.parametrize("where", ["blob", "index"])
+    @pytest.mark.parametrize("where", ["index"])
     def test_sweep_fails_the_cell_and_keeps_the_rest(self, sandbox,
                                                      monkeypatch, where):
         plan = plan_for()
-        reason = fail_next_write(monkeypatch, sandbox, where)
+        reason = fail_next_write(monkeypatch, sandbox)
         report = run_sweep(plan, store=sandbox, jobs=2, state_path="")
 
         assert report.counts == {"total": 4, "store": 0,
@@ -258,7 +245,7 @@ class TestStoreWriteFault:
                                 "executed": 1, "failed": 0}
         assert again.outcomes[victim][1] == "executed"
 
-    @pytest.mark.parametrize("where", ["blob", "index"])
+    @pytest.mark.parametrize("where", ["index"])
     def test_suite_fails_after_its_manifest_and_keeps_the_rest(
             self, sandbox, monkeypatch, tmp_path, where):
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
@@ -266,7 +253,7 @@ class TestStoreWriteFault:
                 "--policies", "baseline,pdip_44", "--instructions", "2000",
                 "--warmup", "300", "--jobs", "2"]
         store = result_cache.open_store()  # the store the suite uses
-        reason = fail_next_write(monkeypatch, store, where)
+        reason = fail_next_write(monkeypatch, store)
         with pytest.raises(RuntimeError,
                            match=r"^1 grid cell\(s\) failed.*store write"):
             main(argv)
