@@ -5,8 +5,8 @@ stream (``repro.utils.derive_rng``); reproduction fidelity depends on no
 module reintroducing the global ``random`` state, wall-clock reads, or
 hash-order iteration. These rules apply only to the stat-affecting
 units (``simulator``, ``core``, ``frontend``, ``branch``, ``memory``,
-``prefetchers``, ``backend``) — reporting, experiments drivers, and the
-bench harness may read clocks freely.
+``prefetchers``, ``backend``), whose stats the goldens and
+``GOLDEN_WORK`` pin; reporting and experiments drivers may read clocks.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The simulator allocates record objects (FTQ entries, cache line states,
 BTB/TLB entries, FEC events) millions of times per run; a missing
 ``__slots__`` costs a per-instance ``__dict__`` and slower attribute
-access on exactly the paths the bench gate watches (DESIGN.md §10).
+access on exactly the paths the perf gate times (DESIGN.md §10).
 
 Two rules:
 

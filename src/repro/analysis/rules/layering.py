@@ -4,13 +4,12 @@ Each unit (first dotted component below the root package) may import
 only the units beneath it. The table encodes the intended architecture:
 ``utils`` at the bottom; the hardware model (``memory``/``branch``/
 ``frontend``/``backend``/``prefetchers``/``core``) above ``workloads``;
-``simulator`` orchestrating the model; ``experiments``/``bench``/
-``service``/``cli`` as drivers on top. Crucially, the model and the
-simulator never import the drivers (``experiments``, ``reporting``,
-``bench``, ``service``, ``cli``), and ``workloads`` never import the
-simulator — workload generation must not be able to observe simulation
-state, and a simulation must not be able to observe the service that
-scheduled it.
+``simulator`` orchestrating the model; ``experiments``/``service``/
+``cli`` as drivers on top. Crucially, the model and the simulator
+never import the drivers (``experiments``, ``reporting``, ``service``,
+``cli``), and ``workloads`` never import the simulator — workload
+generation must not be able to observe simulation state, and a
+simulation must not be able to observe the service that scheduled it.
 
 ``telemetry`` sits beside ``utils`` at the bottom so every layer may
 hold a telemetry handle; *which* telemetry module a hot path may import
@@ -59,7 +58,6 @@ ALLOWED: Dict[str, FrozenSet[str]] = {
     "reporting": frozenset({"utils"}),
     "reporting_svg": frozenset({"utils"}),
     "analysis": frozenset({"utils"}),
-    "bench": _MODEL_DEPS | frozenset({"backend", "prefetchers", "core", "simulator"}),
     # the dashboard is pure presentation: the service embeds it, so it
     # may depend on nothing that could close a cycle back to the
     # service — only the metrics registry and utils

@@ -7,15 +7,15 @@ and the live machinery (recorder, registry, export, session, diff) that
 drivers attach explicitly. The overhead policy only holds if per-cycle
 code can never accidentally construct — or even import — the live side:
 a recorder import in ``machine.py`` would put ring-buffer code on the
-path the bench gate (DESIGN.md §10) protects.
+path the perf gate (DESIGN.md §10) times.
 
 This rule pins every hot-path module (the same set the ``hotpath-*``
 rules guard: ``frontend``/``branch``/``memory``/``core``/
 ``prefetchers``/``backend`` plus ``simulator.machine``) to importing
 *only* ``<root>.telemetry.handle`` from the telemetry package. Importing
 the bare package is also flagged — its ``__init__`` re-exports the full
-live side. Drivers (``simulator.runner``, ``bench``, ``cli``,
-``experiments``) are unconstrained: attaching sessions is their job.
+live side. Drivers (``simulator.runner``, ``cli``, ``experiments``)
+are unconstrained: attaching sessions is their job.
 """
 
 from __future__ import annotations

@@ -6,8 +6,6 @@ Commands:
 * ``suite`` — run a benchmark x policy grid and print speedups;
 * ``figure`` — print one artifact of :mod:`repro.experiments`' table by
   id (fig01..fig16, tab01/tab04/tab05, ext_related_work) or ``all``;
-* ``bench`` — time representative simulation cells and write
-  ``BENCH_runner.json`` (see :mod:`repro.bench`);
 * ``manifest`` — print the summary of a suite run's JSON manifest;
 * ``workload`` — characterize a benchmark's instruction stream;
 * ``trace`` — record/replay **this simulator's own** block-stream dumps
@@ -18,7 +16,7 @@ Commands:
 * ``ingest`` — import an **external** basic-block trace (schema-v1
   JSONL, ChampSim branch records, or ``pc,target,taken`` CSV) as a
   content-addressed store row, optionally registering it as a first-class
-  benchmark name usable in ``run``/``suite``/``sweep``/``bench``
+  benchmark name usable in ``run``/``suite``/``sweep``/``submit``
   (see :mod:`repro.traces`);
 * ``diff`` — compare two run dumps / manifests / traces and name the
   first diverging counter or event (exit 0 match, 1 diverged,
@@ -44,8 +42,6 @@ env var) picks its root, else ``<cache dir>/store`` — the root ``serve``
 also defaults to, so batch and served work share one result set. The
 trace names registered in that store are the trace benchmarks a
 command accepts.
-``bench`` deliberately has no such flag — scores must time real
-simulations.
 """
 
 from __future__ import annotations
@@ -107,29 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("figure", choices=sorted(FIGURES) + ["all"])
     _jobs_arg(p_fig, "serial")
     _store_arg(p_fig)
-
-    p_bench = sub.add_parser(
-        "bench", help="time the simulation core and write BENCH_runner.json")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small cell subset (CI smoke)")
-    p_bench.add_argument("--cells", default=None,
-                         help="comma-separated cell names (see repro.bench)")
-    p_bench.add_argument("--repeats", type=int, default=2,
-                         help="timing repeats per cell (best wall kept)")
-    p_bench.add_argument("--out", default=None,
-                         help="output JSON (default: BENCH_runner.json)")
-    p_bench.add_argument("--baseline", default=None,
-                         help="recorded baseline JSON to compare against "
-                              "(default: benchmarks/bench_baseline.json)")
-    p_bench.add_argument("--record-baseline", default=None, metavar="PATH",
-                         help="record current scores as the baseline at PATH "
-                              "and exit")
-    p_bench.add_argument("--check", action="store_true",
-                         help="exit 1 if a cell's simulated cycles or IPC "
-                              "differ from the baseline's, or its normalized "
-                              "score regresses beyond --tolerance")
-    p_bench.add_argument("--tolerance", type=float, default=None,
-                         help="allowed normalized regression (default 0.20)")
 
     p_man = sub.add_parser("manifest", help="summarize a suite run manifest")
     p_man.add_argument("path", nargs="?", default=None,
@@ -206,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--register", default=None, metavar="NAME",
                        help="also register the trace as benchmark NAME "
                             "(persists in the store; "
-                            "usable in run/suite/sweep/bench/submit)")
+                            "usable in run/suite/sweep/submit)")
     _store_arg(p_ing)
 
     p_diff = sub.add_parser(
@@ -478,19 +451,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: time the simulation core (see :mod:`repro.bench`)."""
-    from repro import bench
-
-    if args.out is None:
-        args.out = bench.DEFAULT_OUT
-    if args.baseline is None:
-        args.baseline = bench.DEFAULT_BASELINE
-    if args.tolerance is None:
-        args.tolerance = bench.DEFAULT_TOLERANCE
-    return bench.main(args)
-
-
 def cmd_manifest(args: argparse.Namespace) -> int:
     """``repro manifest``: summarize a suite run's JSON manifest."""
     from pathlib import Path
@@ -643,7 +603,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"register failed: {exc}")
             return 1
         print(f"  registered   '{args.register}' in store {reg} "
-              f"(usable in run/suite/sweep/bench)")
+              f"(usable in run/suite/sweep/submit)")
     return 0
 
 
@@ -961,7 +921,6 @@ COMMANDS = {
     "run": cmd_run,
     "suite": cmd_suite,
     "figure": cmd_figure,
-    "bench": cmd_bench,
     "manifest": cmd_manifest,
     "workload": cmd_workload,
     "trace": cmd_trace,

@@ -38,9 +38,9 @@ migration.
 
 :func:`open_store` is the process's default store, rooted at
 ``--store``/``REPRO_STORE``, else ``<cache dir>/store``
-(``REPRO_CACHE_DIR`` relocates the cache directory). ``repro bench``
-deliberately bypasses the store: a bench score must time a real
-simulation, never a lookup.
+(``REPRO_CACHE_DIR`` relocates the cache directory). No lookup can
+serve ``GOLDEN_WORK`` or the perf gate: the one builds its machines
+directly, the other times cold sweeps into an empty store.
 """
 
 from __future__ import annotations

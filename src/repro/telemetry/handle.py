@@ -12,7 +12,7 @@ queue, the PDIP controller) hold a ``tel`` attribute initialized to
 
 With telemetry off (the default), ``enabled`` is the class-level
 constant ``False``, so the guard costs two attribute loads and a branch
-— nothing allocates, nothing is recorded, and the bench gate
+— nothing allocates, nothing is recorded, and the perf gate
 (DESIGN.md §10) stays green. With telemetry on, a
 :class:`repro.telemetry.recorder.TraceRecorder` (whose ``enabled`` is
 ``True``) replaces the null handle via
@@ -32,7 +32,7 @@ import os
 def telemetry_enabled() -> bool:
     """True when the ``REPRO_TELEMETRY`` environment switch is on.
 
-    Drivers (the cell worker, ``repro bench``) consult this to decide
+    The cell worker (``runner.simulate_cell``) consults this to decide
     whether to attach sessions; the simulator itself never reads it —
     attachment is always explicit.
     """

@@ -128,10 +128,18 @@ def _load_bundled() -> None:
         _register(name, spec)
 
 
-def _load_user_names() -> None:
-    if not (store_root() / "store.sqlite").is_file():
-        return  # listing names never creates a store
-    for name, (digest, spec) in sorted(open_store().trace_names().items()):
+def _load() -> None:
+    """Register the bundled traces, then the store's trace names.
+
+    The store's names are read first, so a store that fails to open
+    fails the import with nothing registered, and the next lookup
+    imports this module again from a clean slate.
+    """
+    stored = {}
+    if (store_root() / "store.sqlite").is_file():  # listing never creates one
+        stored = open_store().trace_names()
+    _load_bundled()
+    for name, (digest, spec) in sorted(stored.items()):
         if name in _SPECS:
             continue  # bundled names win; the CLI refuses to shadow them
         _register(name, dict(spec, digest=digest))
@@ -174,5 +182,4 @@ def register_ingested(name: str, report: IngestReport,
     return store.root
 
 
-_load_bundled()
-_load_user_names()
+_load()

@@ -273,7 +273,7 @@ PROFILES: Dict[str, WorkloadProfile] = {
 # plug in here: a provider registers a profile plus factories that build
 # the `CodeLayout` and the walker for a benchmark name, and from then on
 # the name works everywhere a synthetic profile name does — `repro run`,
-# suites, sweeps, the bench matrix, the service.
+# suites, sweeps, the service.
 #
 # Providers are loaded lazily by dotted module name the first time an
 # unknown benchmark is looked up.  The string import keeps the layering
@@ -344,9 +344,11 @@ def _load_providers() -> None:
     global _providers_loaded
     if _providers_loaded:
         return
-    _providers_loaded = True  # set first: a broken provider should not retry forever
     for module in EXTERNAL_PROVIDERS:
         importlib.import_module(module)
+    # set last: a provider whose import failed (a refused store) is
+    # imported again by the next lookup
+    _providers_loaded = True
 
 
 def external_benchmark(name: str) -> Optional[ExternalBenchmark]:

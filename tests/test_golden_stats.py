@@ -14,6 +14,14 @@ simulation semantics — including a bug in the event-horizon fast path,
 which is ON by default in these runs — trips these comparisons
 field-by-field.
 
+``GOLDEN_WORK`` pins the modelled work of eleven more cells: short and
+long budgets, every prefetcher family, the probe-attached path (which
+turns cycle skipping off) and two bundled traces. Each row holds the
+simulated cycles and IPC these cells were first recorded at, before the
+event-horizon fast path, and the digest of the full stats. A faster
+core must model the same cycles; how fast it runs is the perf gate's
+concern (``scripts/perf_gate.py``).
+
 If a *deliberate* modelling change invalidates them, regenerate with::
 
     PYTHONPATH=src python -c "
@@ -22,7 +30,9 @@ If a *deliberate* modelling change invalidates them, regenerate with::
                       seed=1, use_cache=False)
     print(s.to_dict())"
 
-passing ``config=`` for a ``GOLDEN_CONFIG`` cell.
+passing ``config=`` for a ``GOLDEN_CONFIG`` cell, and with
+:func:`run_work` and ``canonical_digest(stats.to_dict())`` for a
+``GOLDEN_WORK`` row.
 """
 
 from __future__ import annotations
@@ -31,7 +41,11 @@ import pytest
 
 from repro.memory.hierarchy import HierarchyConfig
 from repro.simulator.config import MachineConfig
-from repro.simulator.runner import run_benchmark
+from repro.simulator.policies import build_machine, get_policy
+from repro.simulator.probe import TimelineProbe
+from repro.simulator.runner import get_layout, run_benchmark
+from repro.utils import canonical_digest
+from repro.workloads.profiles import get_profile
 
 GOLDEN = [
     ("tatp", "pdip_44", 1, 30000, 6000, {
@@ -450,6 +464,46 @@ GOLDEN_CONFIG = [
 ]
 
 
+#: (benchmark, policy, seed, instructions, warmup, probe,
+#:  machine.cycle, stats.ipc, canonical_digest(stats.to_dict()))
+GOLDEN_WORK = [
+    ("tatp", "baseline", 1, 40000, 8000, False, 48336, 1.1230315789473684,
+     "c44311674cddee8e81f19368afde2293c9e285a7"),
+    ("tatp", "pdip_44", 1, 40000, 8000, False, 48327, 1.1231188230008984,
+     "dccf500918820cd6359b90f53a3908818e2a7781"),
+    ("dotty", "pdip_44", 1, 40000, 8000, False, 61593, 0.9192443811187204,
+     "f82f89ff0c935e3142d90c2762171512ea0b31c4"),
+    ("kafka", "eip_46", 1, 40000, 8000, False, 38241, 1.4319467315815853,
+     "b67623710215f225604cc72f38bb9a9608cd3482"),
+    ("tomcat", "next_line", 1, 40000, 8000, False, 51858, 1.1626365961404324,
+     "e56e1daffb1442a14fe9efc4676b01c8c6951bb4"),
+    ("xalan", "rdip", 1, 40000, 8000, False, 48039, 1.024980143988112,
+     "960e1d8fa6f7ff3cb76e934a8e0abac310b08795"),
+    ("tatp", "pdip_44", 1, 150000, 30000, False, 101122, 2.280501710376283,
+     "f0526d40d288e8f13abca9b1d43e8712106407dd"),
+    ("dotty", "baseline", 1, 150000, 30000, False, 139436, 1.5966323945760692,
+     "3127e6f54e55aa6ac492a41990f728ab8b07b479"),
+    # the probe turns cycle skipping off: the same stats, stepped
+    ("tatp", "pdip_44", 1, 40000, 8000, True, 48327, 1.1231188230008984,
+     "dccf500918820cd6359b90f53a3908818e2a7781"),
+    # bundled traces: the trace-replayer front end
+    ("trace-phase", "pdip_44", 1, 40000, 8000, False, 67664,
+     0.7060193763566097, "bfa8a7921447d9c1f4759e7c2ab2a30389b51a6a"),
+    ("trace-coldburst", "baseline", 1, 40000, 8000, False, 77280,
+     0.6647833023132146, "ff61e368eefdd63ccb0a253b4b4c85a9968d9414"),
+]
+
+
+def run_work(bench, policy, seed, instructions, warmup, probe):
+    """``(machine, stats)`` of one cell run on a machine built directly:
+    no store, no pool, with a ``TimelineProbe`` attached if ``probe``."""
+    machine = build_machine(get_layout(bench, seed=seed), get_profile(bench),
+                            get_policy(policy), seed=seed)
+    if probe:
+        machine.probe = TimelineProbe(sample_every=200)
+    return machine, machine.run(instructions, warmup=warmup)
+
+
 def assert_golden(bench, policy, seed, instructions, warmup, want,
                   config=None):
     stats = run_benchmark(bench, policy, instructions=instructions,
@@ -477,3 +531,16 @@ def test_golden_stats(bench, policy, seed, instructions, warmup, want):
 def test_golden_stats_with_config(label, bench, policy, seed, instructions,
                                   warmup, config, want):
     assert_golden(bench, policy, seed, instructions, warmup, want, config)
+
+
+@pytest.mark.parametrize(
+    "bench,policy,seed,instructions,warmup,probe,cycles,ipc,digest",
+    GOLDEN_WORK,
+    ids=["%s-%s-%dk%s" % (b, p, i // 1000, "-probe" if probe else "")
+         for b, p, _, i, _, probe, _, _, _ in GOLDEN_WORK])
+def test_golden_work(bench, policy, seed, instructions, warmup, probe,
+                     cycles, ipc, digest):
+    machine, stats = run_work(bench, policy, seed, instructions, warmup,
+                              probe)
+    assert (machine.cycle, stats.ipc) == (cycles, ipc)
+    assert canonical_digest(stats.to_dict()) == digest, stats.to_dict()

@@ -3,8 +3,8 @@
 * A warm figure run over a copy of the committed store simulates
   nothing and leaves every byte of the store as it was: lookups and
   opens only read. Bundled trace benchmarks resolve from their package
-  files, so neither a layout of one nor a ``repro bench`` cell over one
-  writes to the store.
+  files, so neither a layout of one nor a machine run over one writes
+  to the store.
 * Trace benchmark names registered by ``repro ingest --register`` are
   rows of the store that holds their traces: concurrent registrations
   keep every name, and ``--store`` selects which names a command knows.
@@ -33,7 +33,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import bench
 from repro.cli import main
 from repro.experiments import fig10_speedup
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
@@ -41,6 +40,7 @@ from repro.simulator.cache import StoreSchemaError, open_store
 from repro.simulator import runner
 from repro.sweeps import executor
 from repro.traces import registry
+from tests.test_golden_stats import run_work
 from tests.test_traces_ingest import write_jsonl_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +67,27 @@ from repro.workloads.profiles import external_benchmark_names, get_profile
 
 print(json.dumps({n: get_profile(n).trace_digest
                   for n in external_benchmark_names()}))
+"""
+
+
+#: lists the trace names with REPRO_STORE on a refused root, then on a
+#: fresh root (argv[1]) in the same process, and imports what
+#: ``repro ingest --register`` imports
+RETRY = """
+import os, sys
+from repro.simulator.cache import StoreSchemaError
+from repro.workloads.profiles import external_benchmark_names
+
+try:
+    external_benchmark_names()
+except StoreSchemaError:
+    pass
+else:
+    raise SystemExit("the refused store's names were listed")
+os.environ["REPRO_STORE"] = sys.argv[1]
+names = external_benchmark_names()
+from repro.traces.registry import register_ingested  # noqa: F401
+print(" ".join(names))
 """
 
 
@@ -143,11 +164,12 @@ class TestReadsNeverWrite:
         # resolve every bundled trace afresh in this process
         monkeypatch.setattr(registry, "_WORKLOADS", {})
         monkeypatch.setattr(runner, "_LAYOUT_CACHE", {})
-        cell = {c.name: c for c in bench.DEFAULT_CELLS}["trphase-pdip44-short"]
         try:
             for name in names:
                 runner.get_layout(name, seed=1)
-            assert bench.run_cell(cell, repeats=1)["simulated_cycles"] > 0
+            machine, _ = run_work("trace-phase", "pdip_44", 1, 40_000, 8_000,
+                                  probe=False)
+            assert machine.cycle > 0
         finally:
             open_store().close()
         assert rows(store) == before
@@ -317,6 +339,18 @@ class TestSchemaGuard:
         assert line.startswith("repro: store %s " % root)
         assert "Traceback" not in listed.stdout + listed.stderr
         assert snapshot(root) == before
+
+    def test_a_refused_store_registers_no_name(self, tmp_path):
+        # the failed import left nothing registered, so the next lookup
+        # imports the registry again, cleanly, once REPRO_STORE names a
+        # fresh root
+        root = schema_2_root(tmp_path / "old")
+        fresh = tmp_path / "fresh"
+        out = python(["-c", RETRY, str(fresh)],
+                     repro_env(tmp_path, REPRO_STORE=str(root)))
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "trace-phase" in out.stdout.split()
+        assert not fresh.exists()  # knowing no names created no store
 
     def test_roots_created_at_once_all_open(self, tmp_path):
         # a root another process is creating must not read as an old one

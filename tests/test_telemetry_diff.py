@@ -1,7 +1,6 @@
-"""Run-diff triage tests: artifact loading, counter/event divergence,
-CLI exit codes, and the bench telemetry refusal."""
+"""Run-diff triage tests: artifact loading, counter/event divergence
+and CLI exit codes."""
 
-import argparse
 import json
 
 import pytest
@@ -233,19 +232,3 @@ class TestCli:
         assert main(["run", "noop", "pdip_44", "--instructions", "2000",
                      "--warmup", "500", "--stats-out", str(out)]) == 0
         assert main(["diff", str(out), str(out)]) == 0
-
-
-class TestBenchRefusal:
-    def test_bench_refuses_with_telemetry_on(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        from repro.bench import main as bench_main
-
-        # refusal happens before any argument is consumed
-        assert bench_main(argparse.Namespace()) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_TELEMETRY" in err
-        assert "refusing" in err
-
-    def test_cli_bench_refuses_too(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert main(["bench", "--quick"]) == 2

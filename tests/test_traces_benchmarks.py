@@ -127,8 +127,8 @@ class TestIntegration:
         assert args.benchmark == BUNDLED[0]
 
     def test_bench_cells_cover_trace_benchmarks(self):
-        from repro.bench import DEFAULT_CELLS
+        from tests.test_golden_stats import GOLDEN_WORK
 
-        trace_cells = [c for c in DEFAULT_CELLS
-                       if c.benchmark.startswith("trace-")]
-        assert trace_cells, "bench grid lost its ingested-trace cells"
+        trace_cells = [row for row in GOLDEN_WORK
+                       if row[0].startswith("trace-")]
+        assert trace_cells, "GOLDEN_WORK lost its ingested-trace cells"
